@@ -75,8 +75,9 @@ class BlockchainPeer(AlgorithmNode):
                 self._accept_block(payload[1])
 
         # Both draws happen unconditionally to keep streams aligned.
-        submit = ctx.rng.random() < self.tx_probability
-        mine = ctx.rng.random() < self.mine_probability
+        rng = ctx.rng
+        submit = rng.random() < self.tx_probability
+        mine = rng.random() < self.mine_probability
 
         if submit:
             tx = ctx.round * self.n + self.id

@@ -36,7 +36,7 @@ class PbftNode(AlgorithmNode):
         self.prepares = {}      # seq -> prepares received from others
         self.commits = {}       # seq -> commit votes, own included
         self.commit_sent = set()
-        self.committed = set()
+        self.open = set()       # seqs with a value and no commit yet
         # leader bookkeeping
         self.seq = 0
         self.start_round = None
@@ -60,13 +60,12 @@ class PbftNode(AlgorithmNode):
         if self.is_leader and self.start_round is None and self.finished_at < round_:
             value = self.seq
             self.values[self.seq] = value
+            self.open.add(self.seq)
             self.start_round = round_
             ctx.broadcast(("pp", self.seq, value))
 
         # Quorum checks never fire in the round an instance starts.
-        for seq in sorted(self.values):
-            if seq in self.committed:
-                continue
+        for seq in sorted(self.open):
             if self.is_leader and (self.start_round is None or round_ <= self.start_round):
                 continue
             value = self.values[seq]
@@ -76,7 +75,7 @@ class PbftNode(AlgorithmNode):
                 self.commits[seq] = self.commits.get(seq, 0) + 1
                 ctx.broadcast(("c", seq, value))
             if self.commits.get(seq, 0) >= self.commit_needed:
-                self.committed.add(seq)
+                self.open.discard(seq)
                 ctx.log(TAG_COMMIT, {"seq": seq, "value": value})
                 if self.is_leader:
                     ctx.log(TAG_LATENCY, {"seq": seq,
@@ -87,7 +86,11 @@ class PbftNode(AlgorithmNode):
                     self.seq += 1
 
     def _note_value(self, ctx, seq, value):
-        stored = self.values.setdefault(seq, value)
+        if seq not in self.values:
+            self.values[seq] = value
+            self.open.add(seq)
+            return
+        stored = self.values[seq]
         if stored != value:
             ctx.log(TAG_PROTOCOL_ERROR,
                     {"seq": seq, "stored": stored, "got": value})

@@ -54,15 +54,14 @@ class DhtNode(AlgorithmNode):
         self.variant = variant
         self.bits = bits
         self.shortcuts = shortcuts  # per prefix length, kademlia only
-        self.schedule = schedule
+        self.schedule = schedule    # round -> [(qid, target)] this node injects
 
     def perform_computation(self, ctx):
         while ctx.in_stream:
             _, qid, target, hops = ctx.pop_in_stream().payload
             self._handle(ctx, qid, target, hops)
-        for qid, origin, target in self.schedule.get(ctx.round, ()):
-            if origin == self.id:
-                self._handle(ctx, qid, target, 0)
+        for qid, target in self.schedule.get(ctx.round, ()):
+            self._handle(ctx, qid, target, 0)
 
     def _handle(self, ctx, qid, target, hops):
         if target == self.id:
@@ -126,7 +125,7 @@ class DhtFamily(Algorithm):
         super().__init__(config, streams)
         self.n = config.n_nodes
         self.bits = max(1, (self.n - 1).bit_length())
-        self.schedule = self._draw_schedule()
+        self.schedules = self._draw_schedules()
         self.shortcuts = {}
         if self.params["variant"] == KADEMLIA:
             rng = streams.topology()
@@ -136,22 +135,26 @@ class DhtFamily(Algorithm):
                     picks.append(lo + int(rng.integers(hi - lo)))
                 self.shortcuts[u] = tuple(picks)
 
-    def _draw_schedule(self):
+    def _draw_schedules(self):
+        """origin -> {round -> [(qid, target)]}, each list in qid order.
+
+        Queries are drawn round by round, origin then target, so the
+        workload does not depend on how it is split among origins.
+        """
         rate = self.params["queriesPerRound"]
         if rate == 0:
             return {}
         rng = self.streams.workload()
-        schedule = {}
+        schedules = {}
         qid = 0
         for round_ in range(self.config.rounds_per_computation):
-            entries = []
             for _ in range(rate):
                 origin = int(rng.integers(self.n))
                 target = int(rng.integers(self.n))
-                entries.append((qid, origin, target))
+                schedules.setdefault(origin, {}).setdefault(round_, []).append(
+                    (qid, target))
                 qid += 1
-            schedule[round_] = entries
-        return schedule
+        return schedules
 
     def adjacency(self):
         if not self.shortcuts:
@@ -163,7 +166,8 @@ class DhtFamily(Algorithm):
 
     def create_node(self, node_id):
         return DhtNode(node_id, self.n, self.params["variant"], self.bits,
-                       self.shortcuts.get(node_id, ()), self.schedule)
+                       self.shortcuts.get(node_id, ()),
+                       self.schedules.get(node_id, {}))
 
 
 def mean_hops(doc):

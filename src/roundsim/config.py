@@ -6,6 +6,7 @@ RunConfig always carries the full topology and re-serializes canonically.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -13,6 +14,10 @@ from .errors import ConfigError, UnknownAlgorithmError
 from .network import DETERMINISTIC, POISSON, UNIFORM, DelayDistribution
 
 DEFAULT_SEED = 0xC0FFEE
+
+# Largest accepted poisson delay mean, in rounds. It is far beyond any run
+# length, and well below the largest rate numpy's poisson sampler takes.
+MAX_POISSON_MEAN = 1e9
 
 _TOP_LEVEL_KEYS = {
     "algorithm", "topology", "delay", "lossProbability",
@@ -50,8 +55,8 @@ class RunConfig:
         return replace(self, **kwargs)
 
     def to_json_obj(self, include_workers: bool = True) -> dict:
-        # The log header omits workerCount: it is an execution detail, and
-        # logs must be byte-identical across worker counts.
+        # The log header omits workerCount: it does not change execution,
+        # and logs must be byte-identical across worker counts.
         obj = {
             "algorithm": self.algorithm,
             "topology": {"adjacency": {str(u): list(vs) for u, vs in
@@ -175,8 +180,13 @@ def _parse_delay(obj) -> DelayDistribution:
         if extra:
             raise ConfigError("delay", f"unknown keys {sorted(extra)}")
         mean = _as_number(_require(obj, "mean"), "delay.mean")
+        if not math.isfinite(mean):
+            raise ConfigError("delay.mean", f"must be finite, got {mean}")
         if mean <= 0:
             raise ConfigError("delay.mean", f"must be > 0, got {mean}")
+        if mean > MAX_POISSON_MEAN:
+            raise ConfigError("delay.mean",
+                              f"must be <= {MAX_POISSON_MEAN:g}, got {mean:g}")
         if mean <= 1.0:
             # The one-round floor leaves no mass to distribute.
             return DelayDistribution.deterministic(1)
@@ -254,6 +264,16 @@ def load(text: str) -> RunConfig:
     return parse_obj(obj)
 
 
+def read_text(path) -> str:
+    """A config file's text; a file that is not UTF-8 is a ConfigError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: invalid byte at "
+                                     f"offset {exc.start}") from None
+
+
 def load_file(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load(fh.read())
+    return load(read_text(path))

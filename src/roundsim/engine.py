@@ -1,22 +1,17 @@
 """Round-driven execution core.
 
 Each round is three strict phases: receive (drain arrivals into node
-inboxes), compute (every node acts exactly once, optionally across a
-thread pool), send (stage outboxes onto channels). Phase barriers plus
-per-node log buffers keep the emitted log identical for any workerCount.
+inboxes), compute (every node acts exactly once, in ascending id order),
+send (stage outboxes onto channels in ascending sender order). Execution
+is serial: workerCount is accepted and validated but does not change how
+a run executes, so the log is the same for any value of it.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .algorithms import get_algorithm
 from .network import Network
 from .node import NodeContext
 from .rng import StreamFactory
 from .runlog import ERROR_TAG, LogDocument, RunLogger
-
-RECEIVE = "receive"
-COMPUTE = "compute"
-SEND = "send"
 
 
 class Engine:
@@ -28,108 +23,71 @@ class Engine:
     def run(self) -> LogDocument:
         config = self.config
         logger = RunLogger(config.log_tags)
-        pool = None
-        if config.worker_count > 1:
-            pool = ThreadPoolExecutor(max_workers=config.worker_count)
-        try:
-            for computation in range(config.computations_per_run):
-                self._run_computation(computation, logger, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+        for computation in range(config.computations_per_run):
+            self._run_computation(computation, logger)
         doc = logger.document
         doc.meta = config.to_json_obj(include_workers=False)
         doc.canonicalize()
         return doc
 
-    def _run_computation(self, computation: int, logger, pool) -> None:
+    def _run_computation(self, computation: int, logger) -> None:
         config = self.config
         streams = StreamFactory(config.seed, computation)
         algo = self.family(config, streams)
         adjacency = algo.adjacency()
         network = Network(adjacency, config.delay, config.loss_probability,
                           streams, fifo=algo.fifo_channels, logger=logger)
-        order = sorted(adjacency)
-        ctxs = {nid: NodeContext(nid, adjacency[nid], streams.node(nid), logger)
-                for nid in order}
-        nodes = {nid: algo.create_node(nid) for nid in order}
+        nodes, ctxs, members = {}, {}, []
+        for nid in sorted(adjacency):
+            ctx = ctxs[nid] = NodeContext(nid, adjacency[nid], streams, logger)
+            node = nodes[nid] = algo.create_node(nid)
+            members.append((nid, node, ctx))
 
         logger.set_position(computation, 0)
-        for nid in order:
-            nodes[nid].initialize(ctxs[nid], config.algorithm_params)
-        for nid in order:
-            logger.merge_node_buffer(nid, ctxs[nid].take_log_buffer())
+        for _, node, ctx in members:
+            node.initialize(ctx, config.algorithm_params)
 
-        aborted = False
         for round_ in range(config.rounds_per_computation):
             logger.set_position(computation, round_)
 
-            # Receive: everything due this round lands before anyone computes.
+            # Receive and compute: everything due this round lands in a
+            # node's inbox right before it acts.
             arrivals = network.collect_deliverable(round_)
-            for nid in order:
-                ctx = ctxs[nid]
+            fault = None
+            for nid, node, ctx in members:
                 ctx.round = round_
                 packets = arrivals.get(nid)
                 if packets:
                     ctx.in_stream.extend(packets)
-
-            failures = self._compute_phase(order, nodes, ctxs, pool)
-            for nid in order:
-                logger.merge_node_buffer(nid, ctxs[nid].take_log_buffer())
-            if failures:
-                nid, exc = failures[0]
+                try:
+                    node.perform_computation(ctx)
+                except Exception as exc:  # node faults abort the computation
+                    if fault is None:
+                        fault = (nid, exc)
+            if fault is not None:
+                nid, exc = fault
                 logger.append(ERROR_TAG, {
                     "node": nid,
                     "type": type(exc).__name__,
                     "message": str(exc),
                 }, node=nid)
-                aborted = True
                 break
 
             # Send: staged messages enter channels in ascending sender order.
-            for nid in order:
-                ctx = ctxs[nid]
-                for dest, payload in ctx.out_buffer:
-                    network.enqueue(nid, dest, payload, round_)
-                ctx.out_buffer.clear()
+            for nid, _, ctx in members:
+                out = ctx.out_buffer
+                if out:
+                    for dest, payload in out:
+                        network.enqueue(nid, dest, payload, round_)
+                    out.clear()
 
             algo.end_of_round(round_, nodes, ctxs, logger)
-            for nid in order:
-                logger.merge_node_buffer(nid, ctxs[nid].take_log_buffer())
-
-        if not aborted:
+        else:
             algo.finalize(nodes, ctxs, logger)
-            for nid in order:
-                logger.merge_node_buffer(nid, ctxs[nid].take_log_buffer())
 
         self.stats["sent"] += network.total_sent
         self.stats["delivered"] += network.total_delivered
         self.stats["dropped"] += network.total_dropped
-
-    def _compute_phase(self, order, nodes, ctxs, pool):
-        """Run every node once; collect (node, exception) failures sorted."""
-        if pool is None:
-            return self._compute_chunk(order, nodes, ctxs)
-        workers = self.config.worker_count
-        size = max(1, -(-len(order) // workers))
-        chunks = [order[i:i + size] for i in range(0, len(order), size)]
-        futures = [pool.submit(self._compute_chunk, chunk, nodes, ctxs)
-                   for chunk in chunks]
-        failures = []
-        for future in futures:
-            failures.extend(future.result())
-        failures.sort(key=lambda item: item[0])
-        return failures
-
-    @staticmethod
-    def _compute_chunk(chunk, nodes, ctxs):
-        failures = []
-        for nid in chunk:
-            try:
-                nodes[nid].perform_computation(ctxs[nid])
-            except Exception as exc:  # node faults abort the computation
-                failures.append((nid, exc))
-        return failures
 
 
 def run(config) -> LogDocument:

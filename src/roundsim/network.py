@@ -44,18 +44,6 @@ class DelayDistribution:
     def poisson(mean: float) -> "DelayDistribution":
         return DelayDistribution(POISSON, mean=mean)
 
-    @property
-    def is_random(self) -> bool:
-        return self.kind != DETERMINISTIC
-
-    def upper_bound(self) -> Optional[int]:
-        """Largest possible sample, None if unbounded."""
-        if self.kind == DETERMINISTIC:
-            return self.value
-        if self.kind == UNIFORM:
-            return self.max
-        return None
-
     def expected(self) -> float:
         if self.kind == DETERMINISTIC:
             return float(self.value)
@@ -97,7 +85,7 @@ class Channel:
     """Unicast link from one sender to one receiver."""
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
-                 "last_delivery_round", "pending", "_seq", "_rng", "_streams")
+                 "last_delivery_round", "_seq", "_rng", "_streams")
 
     def __init__(self, sender: int, receiver: int, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory, fifo: bool = True):
@@ -107,7 +95,6 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        self.pending = 0
         self._seq = 0
         self._rng = None  # created on first random draw
         self._streams = streams
@@ -135,7 +122,6 @@ class Channel:
             delivery = self.last_delivery_round
         self.last_delivery_round = delivery
         self._seq += 1
-        self.pending += 1
         return Packet(self.sender, self.receiver, send_round, delay, delivery,
                       payload, self._seq)
 
@@ -146,7 +132,6 @@ class Network:
     def __init__(self, adjacency: dict, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory,
                  fifo: bool = True, logger: Optional[RunLogger] = None):
-        self.adjacency = adjacency
         self.channels = {}
         for u in sorted(adjacency):
             for v in adjacency[u]:
@@ -158,9 +143,6 @@ class Network:
         self.total_sent = 0
         self.total_delivered = 0
         self.total_dropped = 0
-
-    def neighbors(self, node_id: int) -> tuple:
-        return self.adjacency[node_id]
 
     def channel(self, sender: int, receiver: int) -> Channel:
         try:
@@ -198,7 +180,6 @@ class Network:
         self.total_delivered += len(bucket)
         by_dest = {}
         for packet in bucket:
-            self.channels[(packet.source, packet.destination)].pending -= 1
             by_dest.setdefault(packet.destination, []).append(packet)
         log = self._logger
         deliver_enabled = log is not None and log.enabled(NET_DELIVER)

@@ -4,7 +4,8 @@ A NodeContext is the only handle an algorithm gets: identity, neighbors,
 the inbound packet stream, staged sends, the current round, a private
 random stream and a log handle. Each context is owned exclusively by its
 node's compute hook; payloads placed on the wire are shared by reference
-and must be treated as immutable.
+and must be treated as immutable. Records logged through a context go
+straight into the run log, stamped with the engine's current position.
 """
 
 from collections import deque
@@ -14,18 +15,26 @@ from .errors import SimulationError
 
 class NodeContext:
     __slots__ = ("id", "neighbors", "in_stream", "out_buffer", "round",
-                 "rng", "_neighbor_set", "_logger", "_log_buffer")
+                 "_neighbor_set", "_logger", "_rng", "_streams")
 
-    def __init__(self, node_id: int, neighbors: tuple, rng, logger):
+    def __init__(self, node_id: int, neighbors: tuple, streams, logger):
         self.id = node_id
         self.neighbors = tuple(neighbors)
         self._neighbor_set = frozenset(neighbors)
         self.in_stream = deque()
         self.out_buffer = []
         self.round = 0
-        self.rng = rng
         self._logger = logger
-        self._log_buffer = []
+        self._rng = None  # created on first access
+        self._streams = streams
+
+    @property
+    def rng(self):
+        """This node's private stream; keyed by node id, so building it
+        late draws the same values."""
+        if self._rng is None:
+            self._rng = self._streams.node(self.id)
+        return self._rng
 
     def broadcast(self, payload) -> None:
         """Stage one copy of payload per neighbor; each copy gets its own
@@ -51,14 +60,8 @@ class NodeContext:
         return self.in_stream.popleft()
 
     def log(self, tag: str, payload) -> None:
-        """Buffer a record; the engine merges buffers at the phase barrier."""
-        if self._logger.enabled(tag):
-            self._log_buffer.append((tag, payload))
-
-    def take_log_buffer(self) -> list:
-        buffer = self._log_buffer
-        self._log_buffer = []
-        return buffer
+        """Append a record for this node at the current (computation, round)."""
+        self._logger.append(tag, payload, node=self.id)
 
 
 class AlgorithmNode:

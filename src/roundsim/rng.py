@@ -2,8 +2,8 @@
 
 Every consumer of randomness (a node, a channel, the query workload, ...)
 gets its own counter-based Philox stream keyed by the run seed plus a
-structural key. Results therefore do not depend on worker count or on the
-order in which streams happen to be consumed.
+structural key. Results therefore do not depend on the order in which
+streams are built or consumed, so a stream can be built on first use.
 """
 
 import numpy as np

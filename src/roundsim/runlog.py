@@ -4,8 +4,7 @@ Every record carries the engine-maintained (computation, round, node) stamp;
 callers only choose a tag and a JSON-compatible payload. Canonical order is
 (computation, round, node, emission order) per tag, with engine-level records
 (node = None) sorting before node records of the same round. Serializing the
-same document twice, or documents from runs that differ only in worker
-count, yields identical bytes.
+same document twice yields identical bytes.
 """
 
 import json
@@ -70,9 +69,6 @@ class LogDocument:
         for records in self.data.values():
             records.sort(key=_sort_key)
 
-    def canonical_json(self) -> str:
-        return serialize(self)
-
 
 def serialize(doc: LogDocument) -> str:
     """Canonical JSON text: sorted keys, records in canonical order."""
@@ -87,9 +83,9 @@ def serialize(doc: LogDocument) -> str:
 class RunLogger:
     """Collects records during a run, stamping them with engine state.
 
-    Compute hooks of distinct nodes append through per-node buffers
-    (see NodeContext.log) which the engine merges at the phase barrier in
-    ascending node order, so the document never depends on thread timing.
+    Nodes append through NodeContext.log as they compute. The engine runs
+    them one at a time, so emission order within (computation, round,
+    node) is the order the node logged in.
     """
 
     def __init__(self, enabled_tags: Optional[Iterable[str]] = None):
@@ -117,10 +113,3 @@ class RunLogger:
         self._seq += 1
         rec = LogRecord(self.computation, self.round, node, payload, self._seq)
         self.document.append(tag, rec)
-
-    def merge_node_buffer(self, node_id: int, buffer: list) -> None:
-        """Adopt (tag, payload) pairs staged by one node during compute."""
-        for tag, payload in buffer:
-            self._seq += 1
-            rec = LogRecord(self.computation, self.round, node_id, payload, self._seq)
-            self.document.append(tag, rec)

@@ -158,8 +158,7 @@ def load_sweep(text: str) -> Sweep:
 
 
 def load_sweep_file(path) -> Sweep:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_sweep(fh.read())
+    return load_sweep(config_mod.read_text(path))
 
 
 def _set_axis(doc: dict, axis: str, value) -> None:
@@ -201,7 +200,11 @@ def run_sweep(sweep: Sweep) -> MetricTable:
 
 
 def benchmark_threads(config, thread_counts) -> list:
-    """Wall-clock per worker count; logs must agree byte for byte."""
+    """Wall-clock per worker count; logs must agree byte for byte.
+
+    Execution is serial, so the counts only show that workerCount does
+    not change the output or the cost of a run.
+    """
     results = []
     reference = None
     for workers in thread_counts:

@@ -88,7 +88,7 @@ def test_timeout_default_scales_with_delay():
 # scripted single-node traces -------------------------------------------------
 
 def make_ctx(node_id, peer):
-    return NodeContext(node_id, (peer,), rng=None, logger=RunLogger())
+    return NodeContext(node_id, (peer,), streams=None, logger=RunLogger())
 
 
 def packet(payload):

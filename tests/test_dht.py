@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
+from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.algorithms.base import get_algorithm
 from roundsim.algorithms.dht import (common_prefix_len, mean_hops,
                                      prefix_groups, ring_next_hop)
-from roundsim.runlog import LogDocument, LogRecord
+from roundsim.runlog import LogDocument, LogRecord, RunLogger
 
 
 def dht_config(variant, nodes, **overrides):
@@ -155,6 +156,45 @@ def test_workload_is_identical_across_variants():
     assert len(common) >= 0.9 * len(chord_t)
     for qid in common:
         assert dict(chord_t)[qid] == dict(kad_t)[qid]
+
+
+def test_dht_run_builds_no_node_stream(monkeypatch):
+    built = []
+    original = StreamFactory.node
+
+    def counting(self, node_id):
+        built.append(node_id)
+        return original(self, node_id)
+
+    monkeypatch.setattr(StreamFactory, "node", counting)
+    run(dht_config("kademlia", 64, roundsPerComputation=50))
+    assert built == []
+    # the probe itself sees streams a protocol does draw from
+    run(parse_obj({"algorithm": "bitcoin",
+                   "topology": {"kind": "complete", "nodes": 3},
+                   "roundsPerComputation": 2, "seed": 1}))
+    assert sorted(built) == [0, 1, 2]
+
+
+def test_node_handles_same_round_queries_in_qid_order():
+    config = dht_config("chord", 4, roundsPerComputation=5,
+                        algorithmParams={"queriesPerRound": 8})
+    family = get_algorithm("chord")(config, StreamFactory(31, 0))
+    # 8 queries over 4 origins: some origin injects two in one round
+    origin, round_, entries = next(
+        (origin, round_, entries)
+        for origin, schedule in sorted(family.schedules.items())
+        for round_, entries in sorted(schedule.items()) if len(entries) >= 2)
+    logger = RunLogger()
+    ctx = NodeContext(origin, config.adjacency[origin], None, logger)
+    ctx.round = round_
+    family.create_node(origin).perform_computation(ctx)
+    emitted = sorted(logger.document.records("queryForwarded")
+                     + logger.document.records("queryResolved"),
+                     key=lambda rec: rec.seq)
+    qids = [rec.payload["query"] for rec in emitted]
+    assert qids == [qid for qid, _ in entries]
+    assert qids == sorted(qids)
 
 
 # metric ----------------------------------------------------------------------

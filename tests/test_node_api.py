@@ -9,7 +9,7 @@ from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
 
 
 def make_ctx(node_id=0, neighbors=(1, 2), tags=None):
-    return NodeContext(node_id, neighbors, rng=None, logger=RunLogger(tags))
+    return NodeContext(node_id, neighbors, streams=None, logger=RunLogger(tags))
 
 
 def test_broadcast_stages_one_copy_per_neighbor():
@@ -53,11 +53,16 @@ def test_in_stream_drains_fifo():
 
 
 def test_log_respects_tag_filter():
-    ctx = make_ctx(tags=("keep",))
+    logger = RunLogger(("keep",))
+    logger.set_position(2, 7)
+    ctx = NodeContext(4, (1, 2), streams=None, logger=logger)
     ctx.log("keep", {"v": 1})
     ctx.log("drop", {"v": 2})
-    assert ctx.take_log_buffer() == [("keep", {"v": 1})]
-    assert ctx.take_log_buffer() == []
+    doc = logger.document
+    assert doc.tags() == ["keep"]
+    [rec] = doc.records("keep")
+    assert (rec.computation, rec.round, rec.node) == (2, 7, 4)
+    assert rec.payload == {"v": 1}
 
 
 # A scripted probe protocol: node 0 sends its round number to node 1 every

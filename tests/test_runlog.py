@@ -1,5 +1,6 @@
 import json
 
+from roundsim.node import NodeContext
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              LogDocument, LogRecord, RunLogger, serialize)
 
@@ -53,14 +54,18 @@ def test_canonical_order():
     assert doc.payloads("t") == ["r3", "engine", "r5n2", "r5n2-b", "late-comp"]
 
 
-def test_merge_node_buffer_preserves_emission_order():
+def test_node_records_keep_emission_order_after_engine_records():
     logger = RunLogger()
     logger.set_position(0, 1)
-    logger.merge_node_buffer(3, [("a", "first"), ("a", "second")])
-    logger.merge_node_buffer(1, [("a", "third-but-lower-node")])
+    high, low = (NodeContext(nid, (), None, logger) for nid in (3, 1))
+    high.log("a", "first")
+    logger.append("a", "engine")
+    low.log("a", "lower-node")
+    high.log("a", "second")
     doc = logger.document
     doc.canonicalize()
-    assert doc.payloads("a") == ["third-but-lower-node", "first", "second"]
+    assert doc.payloads("a") == ["engine", "lower-node", "first", "second"]
+    assert [rec.node for rec in doc.records("a")] == [None, 1, 3, 3]
 
 
 def test_serialize_is_canonical_and_stable():

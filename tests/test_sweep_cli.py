@@ -203,3 +203,25 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["bench", cfg, "--threads", "1,x"]) == 2
     assert main(["bench", cfg, "--threads", "0"]) == 2
     capsys.readouterr()  # drain stderr noise
+
+
+POISSON_BASE = ('{"algorithm": "raft", "topology": {"kind": "complete", '
+                '"nodes": 3}, "roundsPerComputation": 5, '
+                '"delay": {"kind": "poisson", "mean": %s}}')
+
+
+@pytest.mark.parametrize("command,raw,reason", [
+    ("run", b'{"algorithm": "raft", "seed": 1}\xff', "not UTF-8"),
+    ("sweep", b'{"base": {}}\xfe\xff', "not UTF-8"),
+    ("run", (POISSON_BASE % "NaN").encode(), "delay.mean: must be finite"),
+    ("run", (POISSON_BASE % "Infinity").encode(), "delay.mean: must be finite"),
+    ("run", (POISSON_BASE % "1e308").encode(), "delay.mean: must be <="),
+], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge"])
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
+                                             reason):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sim: ") and err.count("\n") == 1
+    assert reason in err
