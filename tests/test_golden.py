@@ -1,5 +1,6 @@
 """Golden log digests: the SHA-256 of the canonical log of every bundled
-config, plus a node-fault run with every fabric trace tag.
+config, plus a node-fault run with every fabric trace tag, and of the
+JSON metric table of every bundled sweep.
 
 Any change that alters log bytes fails here. A deliberate change
 regenerates the digests and says why:
@@ -17,6 +18,7 @@ import pytest
 from roundsim.config import load_file
 from roundsim.engine import run
 from roundsim.runlog import NET_TAGS, serialize
+from roundsim.sweep import load_sweep_file, run_sweep
 
 from test_engine import tick_config
 
@@ -43,23 +45,48 @@ def cases():
     return out
 
 
+def sweep_cases():
+    """Case name ("sweeps/<file>") -> sweep file path, in a fixed order."""
+    return {f"sweeps/{path.name}": path
+            for path in sorted((ROOT / "configs" / "sweeps").glob("*.json"))}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(config) -> str:
-    return hashlib.sha256(serialize(run(config)).encode("utf-8")).hexdigest()
+    return _sha256(serialize(run(config)))
+
+
+def sweep_digest(path) -> str:
+    return _sha256(run_sweep(load_sweep_file(path)).to_json())
+
+
+def golden():
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_golden_cases_cover_every_bundled_config():
     assert len(cases()) == 11
-    assert set(cases()) == set(json.loads(DIGESTS.read_text(encoding="utf-8")))
+    assert len(sweep_cases()) == 4
+    assert set(cases()) | set(sweep_cases()) == set(golden())
 
 
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_log_bytes_match_golden_digest(name):
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
-    assert digest(cases()[name]) == expected
+    assert digest(cases()[name]) == golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(sweep_cases()))
+def test_sweep_table_matches_golden_digest(name):
+    assert sweep_digest(sweep_cases()[name]) == golden()[name]
 
 
 def write():
     digests = {name: digest(config) for name, config in cases().items()}
+    digests.update((name, sweep_digest(path))
+                   for name, path in sweep_cases().items())
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}")
