@@ -59,7 +59,7 @@ class BlockchainPeer(AlgorithmNode):
         self.best_tip = GENESIS_ID
         self.pending = {}        # tx id -> None, FIFO via insertion order
         self.seen_tx = set()     # submitted or mined transaction ids
-        self.orphans = []        # blocks waiting for a parent
+        self.waiting = {}        # missing parent id -> [blocks waiting on it]
 
     def initialize(self, ctx, params):
         genesis = make_genesis()
@@ -115,26 +115,20 @@ class BlockchainPeer(AlgorithmNode):
             self.pending[tx] = None
 
     def _accept_block(self, block):
-        if block.id in self.known:
-            return
-        if any(pid not in self.known for pid in block.parents):
-            self.orphans.append(block)
-            return
-        self._adopt(block)
-        # An adoption can unlock stashed descendants; iterate to fixpoint.
-        progressed = True
-        while progressed and self.orphans:
-            progressed = False
-            still = []
-            for orphan in self.orphans:
-                if orphan.id in self.known:
-                    continue
-                if all(pid in self.known for pid in orphan.parents):
-                    self._adopt(orphan)
-                    progressed = True
-                else:
-                    still.append(orphan)
-            self.orphans = still
+        """Adopt block, and every waiting block it completes, once all its
+        parents are known; until then it waits under its first unknown one."""
+        known = self.known
+        ready = [block]
+        while ready:
+            block = ready.pop()
+            if block.id in known:
+                continue
+            missing = next((p for p in block.parents if p not in known), None)
+            if missing is not None:
+                self.waiting.setdefault(missing, []).append(block)
+                continue
+            self._adopt(block)
+            ready.extend(self.waiting.pop(block.id, ()))
 
     def _adopt(self, block):
         self.known[block.id] = block

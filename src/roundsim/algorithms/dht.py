@@ -9,6 +9,9 @@ chosen from the topology stream, and needs n to be a power of two so
 the identifier space is fully populated.
 """
 
+import numpy as np
+
+from ..config import MAX_SCHEDULED_QUERIES, check_channel_count
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
@@ -117,9 +120,19 @@ class DhtFamily(Algorithm):
             if not ring.issubset(config.adjacency[u]):
                 raise ConfigError("topology",
                                   f"node {u} is missing a ring neighbor")
-        if config.algorithm_params["variant"] == KADEMLIA and n & (n - 1):
-            raise ConfigError("topology.nodes",
-                              f"kademlia needs a power-of-two node count, got {n}")
+        queries = config.rounds_per_computation * rate
+        if queries > MAX_SCHEDULED_QUERIES:
+            raise ConfigError("algorithmParams.queriesPerRound",
+                              f"roundsPerComputation x queriesPerRound is "
+                              f"{queries}, above the limit of "
+                              f"{MAX_SCHEDULED_QUERIES}")
+        if config.algorithm_params["variant"] == KADEMLIA:
+            if n & (n - 1):
+                raise ConfigError("topology.nodes",
+                                  f"kademlia needs a power-of-two node count, got {n}")
+            bits = n.bit_length() - 1
+            check_channel_count(config.n_channels + n * bits,
+                                f"a kademlia overlay of {n} nodes")
 
     def __init__(self, config, streams):
         super().__init__(config, streams)
@@ -128,12 +141,13 @@ class DhtFamily(Algorithm):
         self.schedules = self._draw_schedules()
         self.shortcuts = {}
         if self.params["variant"] == KADEMLIA:
-            rng = streams.topology()
-            for u in range(self.n):
-                picks = []
-                for lo, hi in prefix_groups(u, self.bits):
-                    picks.append(lo + int(rng.integers(hi - lo)))
-                self.shortcuts[u] = tuple(picks)
+            # Row u holds prefix_groups(u, bits); one draw over the whole
+            # array takes the values of a node-by-node, group-by-group loop.
+            shift = np.arange(self.bits - 1, -1, -1)
+            lo = ((np.arange(self.n)[:, None] >> shift) ^ 1) << shift
+            hi = lo + (1 << shift)
+            picks = lo + streams.topology().integers(hi - lo)
+            self.shortcuts = dict(enumerate(map(tuple, picks.tolist())))
 
     def _draw_schedules(self):
         """origin -> {round -> [(qid, target)]}, each list in qid order.

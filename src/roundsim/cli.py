@@ -60,7 +60,6 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         _emit(serialize(doc), args.out)
     else:
-        doc.canonicalize()
         _emit(_doc_to_csv(doc), args.out)
     return 0
 

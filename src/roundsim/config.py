@@ -19,11 +19,26 @@ DEFAULT_SEED = 0xC0FFEE
 # length, and well below the largest rate numpy's poisson sampler takes.
 MAX_POISSON_MEAN = 1e9
 
+# Largest accepted number of directed channels in one computation. Runs
+# above it are refused before the topology is expanded; the largest
+# benchmark cell (raft on complete n=400) uses 159 600.
+MAX_CHANNELS = 1 << 22
+
+# Largest accepted number of DHT queries drawn up front for one
+# computation (roundsPerComputation x queriesPerRound).
+MAX_SCHEDULED_QUERIES = 1 << 24
+
 _TOP_LEVEL_KEYS = {
     "algorithm", "topology", "delay", "lossProbability",
     "roundsPerComputation", "computationsPerRun", "seed", "workerCount",
     "algorithmParams", "logTags",
 }
+
+# Keys a nested object accepts, by the kind of object it is.
+_TOPOLOGY_KEYS = {"adjacency": {"adjacency", "kind"},
+                  "complete": {"kind", "nodes"}, "ring": {"kind", "nodes"}}
+_DELAY_KEYS = {DETERMINISTIC: {"kind", "value"}, UNIFORM: {"kind", "min", "max"},
+               POISSON: {"kind", "mean"}}
 
 
 @dataclass(frozen=True)
@@ -100,13 +115,26 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
+def _reject_unknown_keys(obj: dict, path: str, allowed: set) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        raise ConfigError(path, f"unknown keys {sorted(extra)}")
+
+
+def check_channel_count(count: int, what: str) -> None:
+    """Refuse a run whose computations would hold more than MAX_CHANNELS
+    channels; what names the topology in the message."""
+    if count > MAX_CHANNELS:
+        raise ConfigError("topology.nodes",
+                          f"{what} has {count} channels, above the limit "
+                          f"of {MAX_CHANNELS}")
+
+
 def _parse_topology(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("topology", "expected an object")
     if "adjacency" in obj:
-        extra = set(obj) - {"adjacency", "kind"}
-        if extra:
-            raise ConfigError("topology", f"unknown keys {sorted(extra)}")
+        _reject_unknown_keys(obj, "topology", _TOPOLOGY_KEYS["adjacency"])
         if obj.get("kind") not in (None, "adjacency"):
             raise ConfigError("topology.kind",
                               "must be 'adjacency' when adjacency is given")
@@ -145,10 +173,10 @@ def _parse_topology(obj) -> dict:
     if kind not in ("complete", "ring"):
         raise ConfigError("topology.kind",
                           f"expected 'complete', 'ring' or an adjacency object, got {kind!r}")
-    extra = set(obj) - {"kind", "nodes"}
-    if extra:
-        raise ConfigError("topology", f"unknown keys {sorted(extra)}")
+    _reject_unknown_keys(obj, "topology", _TOPOLOGY_KEYS[kind])
     n = _as_int(_require(obj, "nodes"), "topology.nodes", minimum=1)
+    check_channel_count(n * (n - 1) if kind == "complete" else 2 * n,
+                        f"a {kind} topology of {n} nodes")
     if kind == "complete":
         return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
     if n < 2:
@@ -160,39 +188,31 @@ def _parse_delay(obj) -> DelayDistribution:
     if not isinstance(obj, dict):
         raise ConfigError("delay", "expected an object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _DELAY_KEYS:
+        raise ConfigError("delay.kind",
+                          f"expected 'deterministic', 'uniform' or 'poisson', got {kind!r}")
+    _reject_unknown_keys(obj, "delay", _DELAY_KEYS[kind])
     if kind == DETERMINISTIC:
-        extra = set(obj) - {"kind", "value"}
-        if extra:
-            raise ConfigError("delay", f"unknown keys {sorted(extra)}")
         return DelayDistribution.deterministic(
             _as_int(_require(obj, "value"), "delay.value", minimum=1))
     if kind == UNIFORM:
-        extra = set(obj) - {"kind", "min", "max"}
-        if extra:
-            raise ConfigError("delay", f"unknown keys {sorted(extra)}")
         lo = _as_int(_require(obj, "min"), "delay.min", minimum=1)
         hi = _as_int(_require(obj, "max"), "delay.max", minimum=1)
         if hi < lo:
             raise ConfigError("delay.max", f"max {hi} is below min {lo}")
         return DelayDistribution.uniform(lo, hi)
-    if kind == POISSON:
-        extra = set(obj) - {"kind", "mean"}
-        if extra:
-            raise ConfigError("delay", f"unknown keys {sorted(extra)}")
-        mean = _as_number(_require(obj, "mean"), "delay.mean")
-        if not math.isfinite(mean):
-            raise ConfigError("delay.mean", f"must be finite, got {mean}")
-        if mean <= 0:
-            raise ConfigError("delay.mean", f"must be > 0, got {mean}")
-        if mean > MAX_POISSON_MEAN:
-            raise ConfigError("delay.mean",
-                              f"must be <= {MAX_POISSON_MEAN:g}, got {mean:g}")
-        if mean <= 1.0:
-            # The one-round floor leaves no mass to distribute.
-            return DelayDistribution.deterministic(1)
-        return DelayDistribution.poisson(mean)
-    raise ConfigError("delay.kind",
-                      f"expected 'deterministic', 'uniform' or 'poisson', got {kind!r}")
+    mean = _as_number(_require(obj, "mean"), "delay.mean")
+    if not math.isfinite(mean):
+        raise ConfigError("delay.mean", f"must be finite, got {mean}")
+    if mean <= 0:
+        raise ConfigError("delay.mean", f"must be > 0, got {mean}")
+    if mean > MAX_POISSON_MEAN:
+        raise ConfigError("delay.mean",
+                          f"must be <= {MAX_POISSON_MEAN:g}, got {mean:g}")
+    if mean <= 1.0:
+        # The one-round floor leaves no mass to distribute.
+        return DelayDistribution.deterministic(1)
+    return DelayDistribution.poisson(mean)
 
 
 def parse_obj(obj: dict) -> RunConfig:

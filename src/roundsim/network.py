@@ -1,12 +1,16 @@
 """Network fabric: topology, channels, packets, delay and loss.
 
-Channels are unicast and FIFO by default. A packet's delivery round is
-fixed at enqueue time (send round + sampled delay, clamped so delivery
-order matches enqueue order on FIFO channels); delivery itself is a
-bucket lookup per round, so idle channels cost nothing.
+Channels are unicast and FIFO by default, and opened on their first send;
+a channel's stream is keyed by (sender, receiver), so opening it late
+draws the same values. A packet's delivery round is fixed at enqueue time
+(send round + sampled delay, clamped so delivery order matches enqueue
+order on FIFO channels); delivery itself is a bucket lookup per round, so
+idle channels cost nothing.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ConfigError
@@ -78,14 +82,13 @@ class Packet:
     delay: int
     delivery_round: int
     payload: object
-    chan_seq: int  # enqueue order on the owning channel
 
 
 class Channel:
     """Unicast link from one sender to one receiver."""
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
-                 "last_delivery_round", "_seq", "_rng", "_streams")
+                 "last_delivery_round", "_rng", "_streams")
 
     def __init__(self, sender: int, receiver: int, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory, fifo: bool = True):
@@ -95,7 +98,6 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        self._seq = 0
         self._rng = None  # created on first random draw
         self._streams = streams
 
@@ -121,22 +123,20 @@ class Channel:
         if self.fifo and delivery < self.last_delivery_round:
             delivery = self.last_delivery_round
         self.last_delivery_round = delivery
-        self._seq += 1
         return Packet(self.sender, self.receiver, send_round, delay, delivery,
-                      payload, self._seq)
+                      payload)
 
 
 class Network:
-    """All channels of one computation plus the in-flight packet schedule."""
+    """The channels one computation has sent on plus the in-flight schedule."""
 
     def __init__(self, adjacency: dict, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory,
                  fifo: bool = True, logger: Optional[RunLogger] = None):
-        self.channels = {}
-        for u in sorted(adjacency):
-            for v in adjacency[u]:
-                self.channels[(u, v)] = Channel(u, v, delay, loss_probability,
-                                                streams, fifo=fifo)
+        self.channels = {}  # (sender, receiver) -> Channel, opened on first send
+        self._adjacency = adjacency
+        self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
+                             streams=streams, fifo=fifo)
         self._buckets = {}  # delivery round -> list[Packet]
         self._logger = logger
         self.in_flight = 0
@@ -145,10 +145,12 @@ class Network:
         self.total_dropped = 0
 
     def channel(self, sender: int, receiver: int) -> Channel:
-        try:
-            return self.channels[(sender, receiver)]
-        except KeyError:
-            raise ConfigError("topology", f"no channel {sender}->{receiver}") from None
+        channel = self.channels.get((sender, receiver))
+        if channel is None:
+            if receiver not in self._adjacency.get(sender, ()):
+                raise ConfigError("topology", f"no channel {sender}->{receiver}")
+            channel = self.channels[(sender, receiver)] = self._open(sender, receiver)
+        return channel
 
     def enqueue(self, sender: int, receiver: int, payload, send_round: int) -> Optional[Packet]:
         channel = self.channel(sender, receiver)
@@ -171,7 +173,8 @@ class Network:
         """Packets whose delivery round has arrived, grouped by destination.
 
         Within a destination, packets are ordered by (sender id, channel
-        enqueue order). Must be called once per round, in round order.
+        enqueue order): buckets fill in enqueue order and the sort is stable.
+        Must be called once per round, in round order.
         """
         bucket = self._buckets.pop(round_, None)
         if not bucket:
@@ -184,7 +187,7 @@ class Network:
         log = self._logger
         deliver_enabled = log is not None and log.enabled(NET_DELIVER)
         for dest, packets in by_dest.items():
-            packets.sort(key=lambda p: (p.source, p.chan_seq))
+            packets.sort(key=attrgetter("source"))
             if deliver_enabled:
                 for p in packets:
                     log.append(NET_DELIVER, {"from": p.source, "to": dest,

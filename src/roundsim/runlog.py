@@ -2,9 +2,10 @@
 
 Every record carries the engine-maintained (computation, round, node) stamp;
 callers only choose a tag and a JSON-compatible payload. Canonical order is
-(computation, round, node, emission order) per tag, with engine-level records
-(node = None) sorting before node records of the same round. Serializing the
-same document twice yields identical bytes.
+(computation, round, node) per tag, with engine-level records (node = None)
+sorting before node records of the same round; the sort is stable, so records
+with equal stamps keep their emission order. Serializing the same document
+twice yields identical bytes.
 """
 
 import json
@@ -30,7 +31,6 @@ class LogRecord:
     round: int
     node: Optional[int]
     payload: Any
-    seq: int = 0  # emission order within (computation, round, node)
 
     def to_json_obj(self) -> dict:
         return {
@@ -43,7 +43,7 @@ class LogRecord:
 
 def _sort_key(rec: LogRecord):
     node = -1 if rec.node is None else rec.node
-    return (rec.computation, rec.round, node, rec.seq)
+    return (rec.computation, rec.round, node)
 
 
 @dataclass
@@ -71,11 +71,13 @@ class LogDocument:
 
 
 def serialize(doc: LogDocument) -> str:
-    """Canonical JSON text: sorted keys, records in canonical order."""
-    doc.canonicalize()
+    """Canonical JSON text: sorted keys, records in canonical order. The
+    document itself is left as it is."""
     obj = {
         "meta": dict(doc.meta, version=__version__),
-        "data": {tag: [r.to_json_obj() for r in doc.data[tag]] for tag in doc.tags()},
+        "data": {tag: [r.to_json_obj()
+                       for r in sorted(doc.data[tag], key=_sort_key)]
+                 for tag in doc.tags()},
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -94,7 +96,6 @@ class RunLogger:
         self.document = LogDocument()
         self.computation = 0
         self.round = 0
-        self._seq = 0
 
     def enabled(self, tag: str) -> bool:
         if tag == ERROR_TAG:
@@ -110,6 +111,5 @@ class RunLogger:
     def append(self, tag: str, payload, node: Optional[int] = None) -> None:
         if not self.enabled(tag):
             return
-        self._seq += 1
-        rec = LogRecord(self.computation, self.round, node, payload, self._seq)
+        rec = LogRecord(self.computation, self.round, node, payload)
         self.document.append(tag, rec)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from roundsim.config import parse_obj
@@ -91,10 +93,97 @@ def test_orphans_adopt_once_parents_arrive():
 
     peer._accept_block(b3)  # grandchild first
     peer._accept_block(b2)
-    assert peer.best_len == 0 and len(peer.orphans) == 2
-    peer._accept_block(b1)  # unlocks both stashed descendants
-    assert peer.orphans == []
+    assert peer.best_len == 0
+    assert peer.waiting == {8: [b3], 4: [b2]}
+    peer._accept_block(b1)  # unlocks both waiting descendants
+    assert peer.waiting == {}
     assert peer.best_len == 3 and peer.best_tip == 12
+
+
+@pytest.mark.parametrize("first,second", [(4, 5), (5, 4)])
+def test_block_with_two_missing_parents_waits_for_both(first, second):
+    builder = make_peer("ethereum", node_id=1)
+    parents = {4: block(builder, 4, [GENESIS_ID]),
+               5: block(builder, 5, [GENESIS_ID])}
+    for parent in parents.values():
+        builder._adopt(parent)
+    merge = block(builder, 9, [4, 5])
+    peer = make_peer("ethereum")
+    peer._accept_block(merge)
+    assert peer.waiting == {4: [merge]}
+    peer._accept_block(parents[first])
+    assert 9 not in peer.known
+    assert peer.waiting == {second: [merge]}
+    peer._accept_block(parents[second])
+    assert peer.waiting == {}
+    assert peer.best_tip == 9 and peer.best_len == 3
+    assert peer.childless == {9}
+
+
+class FixpointPeer(BlockchainPeer):
+    """Reference: stash every block with an unknown parent in one list and
+    rescan the whole list to a fixpoint after each adoption."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.orphans = []
+
+    def _accept_block(self, block):
+        if block.id in self.known:
+            return
+        if any(pid not in self.known for pid in block.parents):
+            self.orphans.append(block)
+            return
+        self._adopt(block)
+        progressed = True
+        while progressed and self.orphans:
+            progressed = False
+            still = []
+            for orphan in self.orphans:
+                if orphan.id in self.known:
+                    continue
+                if all(pid in self.known for pid in orphan.parents):
+                    self._adopt(orphan)
+                    progressed = True
+                else:
+                    still.append(orphan)
+            self.orphans = still
+
+
+def peer_state(peer):
+    return (set(peer.known), peer.childless, peer.best_len, peer.best_tip,
+            list(peer.pending), peer.seen_tx)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_parent_index_ends_where_the_fixpoint_loop_does(trial):
+    rnd = random.Random(trial)
+    builder = make_peer("ethereum", node_id=1)
+    blocks = []
+    for i in range(rnd.randint(1, 30)):
+        ids = [GENESIS_ID] + [b.id for b in blocks]
+        parents = sorted(rnd.sample(ids, rnd.randint(1, min(3, len(ids)))))
+        b = block(builder, 10 * i + rnd.randint(0, 9), parents, tx=i)
+        builder._adopt(b)
+        blocks.append(b)
+    arrivals = blocks + rnd.sample(blocks, len(blocks) // 3)  # duplicates
+    rnd.shuffle(arrivals)
+
+    indexed = make_peer("ethereum")
+    reference = FixpointPeer(0, 4, "ethereum", 0.05, 0.025)
+    reference.known[GENESIS_ID] = make_genesis()
+    reference.childless.add(GENESIS_ID)
+    for peer in (indexed, reference):
+        for tx in range(40, -1, -1):  # pending in an order unlike tx ids
+            peer.pending[tx] = None
+            peer.seen_tx.add(tx)
+    for b in arrivals:
+        indexed._accept_block(b)
+        reference._accept_block(b)
+        assert peer_state(indexed) == peer_state(reference)
+        waiting = {w.id for ws in indexed.waiting.values() for w in ws}
+        assert waiting == {o.id for o in reference.orphans}
+    assert indexed.waiting == {} and set(indexed.known) == set(builder.known)
 
 
 def test_confirmed_blocks_is_minimum_over_peers():

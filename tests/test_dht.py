@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from roundsim.config import parse_obj
+from roundsim import config as config_mod
+from roundsim.config import MAX_SCHEDULED_QUERIES, parse_obj
 from roundsim.engine import run
-from roundsim.errors import MetricError
+from roundsim.errors import ConfigError, MetricError
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.algorithms.base import get_algorithm
@@ -109,6 +110,38 @@ def test_kademlia_shortcut_lands_in_its_group():
         assert set(picks) <= set(merged[node])
 
 
+@pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (16, 7), (128, 31),
+                                    (1024, 5)])
+def test_kademlia_shortcuts_match_one_draw_per_group(n, seed):
+    # Reference: one scalar draw per (node, prefix group), node by node.
+    config = dht_config("kademlia", n, roundsPerComputation=1)
+    bits = max(1, (n - 1).bit_length())
+    rng = StreamFactory(seed, 0).topology()
+    expected = {u: tuple(lo + int(rng.integers(hi - lo))
+                         for lo, hi in prefix_groups(u, bits))
+                for u in range(n)}
+    family = get_algorithm("kademlia")(config, StreamFactory(seed, 0))
+    assert family.shortcuts == expected
+    assert all(type(pick) is int for pick in family.shortcuts[n - 1])
+
+
+def test_kademlia_shortcuts_count_toward_the_channel_cap(monkeypatch):
+    # 128 ring nodes hold 256 channels; 7 shortcuts each add 896 more.
+    monkeypatch.setattr(config_mod, "MAX_CHANNELS", 1000)
+    assert dht_config("chord", 128).n_channels == 256
+    with pytest.raises(ConfigError, match="topology.nodes: a kademlia overlay "
+                                          "of 128 nodes has 1152 channels"):
+        dht_config("kademlia", 128)
+
+
+def test_dht_schedule_is_capped_before_it_is_drawn():
+    with pytest.raises(ConfigError, match="algorithmParams.queriesPerRound"):
+        dht_config("chord", 4, roundsPerComputation=2,
+                   algorithmParams={"queriesPerRound": MAX_SCHEDULED_QUERIES})
+    dht_config("chord", 4, roundsPerComputation=1,
+               algorithmParams={"queriesPerRound": MAX_SCHEDULED_QUERIES})
+
+
 def test_kademlia_never_needs_the_xor_fallback():
     doc = run(dht_config("kademlia", 32))
     forwarded = doc.payloads("queryForwarded")
@@ -185,14 +218,16 @@ def test_node_handles_same_round_queries_in_qid_order():
         (origin, round_, entries)
         for origin, schedule in sorted(family.schedules.items())
         for round_, entries in sorted(schedule.items()) if len(entries) >= 2)
-    logger = RunLogger()
-    ctx = NodeContext(origin, config.adjacency[origin], None, logger)
+    emitted = []
+
+    class RecordingLogger(RunLogger):
+        def append(self, tag, payload, node=None):
+            emitted.append((tag, payload))
+
+    ctx = NodeContext(origin, config.adjacency[origin], None, RecordingLogger())
     ctx.round = round_
     family.create_node(origin).perform_computation(ctx)
-    emitted = sorted(logger.document.records("queryForwarded")
-                     + logger.document.records("queryResolved"),
-                     key=lambda rec: rec.seq)
-    qids = [rec.payload["query"] for rec in emitted]
+    qids = [payload["query"] for _, payload in emitted]
     assert qids == [qid for qid, _ in entries]
     assert qids == sorted(qids)
 

@@ -147,6 +147,20 @@ def test_missing_channel_raises():
         net.enqueue(0, 0, "m", 0)
 
 
+def test_channels_open_on_first_send():
+    adjacency = {0: (1, 2), 1: (0,), 2: (0,)}
+    net = make_network(adjacency, DelayDistribution.deterministic(1))
+    assert net.channels == {}
+    net.enqueue(0, 2, "m", 0)
+    net.enqueue(0, 2, "n", 1)
+    assert list(net.channels) == [(0, 2)]
+    for sender, receiver in ((1, 2), (0, 0), (5, 0)):
+        with pytest.raises(ConfigError,
+                           match=f"topology: no channel {sender}->{receiver}"):
+            net.enqueue(sender, receiver, "m", 0)
+    assert list(net.channels) == [(0, 2)]
+
+
 def test_network_counters():
     net = make_network({0: (1,), 1: (0,)}, DelayDistribution.deterministic(1),
                        loss=1.0)

@@ -45,11 +45,11 @@ def test_records_stamped_with_engine_position():
 
 def test_canonical_order():
     doc = LogDocument()
-    doc.append("t", LogRecord(1, 0, 0, "late-comp", seq=1))
-    doc.append("t", LogRecord(0, 5, 2, "r5n2", seq=2))
-    doc.append("t", LogRecord(0, 5, None, "engine", seq=3))
-    doc.append("t", LogRecord(0, 5, 2, "r5n2-b", seq=4))
-    doc.append("t", LogRecord(0, 3, 9, "r3", seq=5))
+    doc.append("t", LogRecord(1, 0, 0, "late-comp"))
+    doc.append("t", LogRecord(0, 5, 2, "r5n2"))
+    doc.append("t", LogRecord(0, 5, None, "engine"))
+    doc.append("t", LogRecord(0, 5, 2, "r5n2-b"))
+    doc.append("t", LogRecord(0, 3, 9, "r3"))
     doc.canonicalize()
     assert doc.payloads("t") == ["r3", "engine", "r5n2", "r5n2-b", "late-comp"]
 
@@ -91,7 +91,24 @@ def test_serialize_empty_document():
     assert obj["meta"]["seed"] == 0
 
 
-def test_record_json_omits_emission_sequence():
-    rec = LogRecord(0, 1, None, "p", seq=42)
+def test_record_json_is_stamp_and_payload():
+    rec = LogRecord(0, 1, None, "p")
     assert rec.to_json_obj() == {"computation": 0, "round": 1, "node": None,
                                  "payload": "p"}
+    assert LogRecord.__slots__ == ("computation", "round", "node", "payload")
+
+
+def test_serialize_leaves_the_document_as_it_is():
+    doc = LogDocument(meta={"seed": 1})
+    doc.append("t", LogRecord(0, 5, 2, "r5n2"))
+    doc.append("t", LogRecord(0, 5, None, "engine"))
+    doc.append("t", LogRecord(0, 5, 2, "r5n2-b"))
+    doc.append("t", LogRecord(0, 3, 9, "r3"))
+    doc.append("a", LogRecord(1, 0, 0, "late"))
+    doc.append("a", LogRecord(0, 0, 0, "early"))
+    before = {tag: list(records) for tag, records in doc.data.items()}
+    obj = json.loads(serialize(doc))
+    assert [r["payload"] for r in obj["data"]["t"]] == [
+        "r3", "engine", "r5n2", "r5n2-b"]
+    assert [r["payload"] for r in obj["data"]["a"]] == ["early", "late"]
+    assert doc.data == before

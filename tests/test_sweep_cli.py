@@ -216,7 +216,22 @@ POISSON_BASE = ('{"algorithm": "raft", "topology": {"kind": "complete", '
     ("run", (POISSON_BASE % "NaN").encode(), "delay.mean: must be finite"),
     ("run", (POISSON_BASE % "Infinity").encode(), "delay.mean: must be finite"),
     ("run", (POISSON_BASE % "1e308").encode(), "delay.mean: must be <="),
-], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge"])
+    ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 100000}}',
+     "topology.nodes: a complete topology of 100000 nodes has 9999900000 "
+     "channels, above the limit of 4194304"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "ring", "nodes": 2097153}}',
+     "topology.nodes: a ring topology of 2097153 nodes has 4194306 "
+     "channels, above the limit of 4194304"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 2, '
+            b'"topology": {"kind": "ring", "nodes": 4}, '
+            b'"algorithmParams": {"queriesPerRound": 16777216}}',
+     "algorithmParams.queriesPerRound: roundsPerComputation x "
+     "queriesPerRound is 33554432, above the limit of 16777216"),
+], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
+        "complete-too-many-channels", "ring-too-many-channels",
+        "dht-schedule-too-large"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
