@@ -26,9 +26,9 @@ class Algorithm:
         """Reject configurations the family cannot run. Raises ConfigError."""
         from ..errors import ConfigError
         variant = config.algorithm_params.get("variant")
-        if variant not in cls.variants:
+        if variant != config.algorithm:
             raise ConfigError("algorithmParams.variant",
-                              f"expected one of {sorted(cls.variants)}, got {variant!r}")
+                              f"must match algorithm {config.algorithm!r}, got {variant!r}")
 
     def __init__(self, config, streams):
         self.config = config
@@ -42,10 +42,10 @@ class Algorithm:
     def create_node(self, node_id: int) -> AlgorithmNode:
         raise NotImplementedError
 
-    def end_of_round(self, round_: int, nodes, ctxs, logger) -> None:
+    def end_of_round(self, round_: int, nodes, logger) -> None:
         pass
 
-    def finalize(self, nodes, ctxs, logger) -> None:
+    def finalize(self, nodes, logger) -> None:
         pass
 
 

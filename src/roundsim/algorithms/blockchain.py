@@ -23,26 +23,26 @@ TAG_CONFIRMED = "confirmed"
 class Block:
     """One mined block; shared by reference once broadcast, never mutated.
 
-    lineage is the set of ancestor block ids including the block itself
-    and excluding genesis; its size is the block's chain length.
+    length is the block's chain length: the number of its ancestors,
+    itself included and genesis excluded. Genesis has length 0.
     """
 
-    __slots__ = ("id", "miner", "round", "parents", "tx", "lineage")
+    __slots__ = ("id", "miner", "round", "parents", "tx", "length")
 
-    def __init__(self, block_id, miner, round_, parents, tx, lineage):
+    def __init__(self, block_id, miner, round_, parents, tx, length):
         self.id = block_id
         self.miner = miner
         self.round = round_
         self.parents = parents
         self.tx = tx
-        self.lineage = lineage
+        self.length = length
 
     def __repr__(self):
         return f"Block({self.id}, parents={list(self.parents)})"
 
 
 def make_genesis() -> Block:
-    return Block(GENESIS_ID, -1, -1, (), None, frozenset())
+    return Block(GENESIS_ID, -1, -1, (), None, 0)
 
 
 class BlockchainPeer(AlgorithmNode):
@@ -55,7 +55,7 @@ class BlockchainPeer(AlgorithmNode):
         self.mine_probability = mine_probability
         self.known = {}          # block id -> Block
         self.childless = set()   # block ids with no known child
-        self.best_len = 0        # max lineage size over known blocks
+        self.best_len = 0        # max chain length over known blocks
         self.best_tip = GENESIS_ID
         self.pending = {}        # tx id -> None, FIFO via insertion order
         self.seen_tx = set()     # submitted or mined transaction ids
@@ -100,14 +100,14 @@ class BlockchainPeer(AlgorithmNode):
     def _mine(self, tx, round_) -> Block:
         if self.variant == BITCOIN:
             parents = (self.best_tip,)
+            length = self.best_len + 1
         else:
+            # Every known block is an ancestor of a childless one, so a
+            # block over all childless tips descends from every known block.
             parents = tuple(sorted(self.childless))
-        lineage = set()
-        for pid in parents:
-            lineage |= self.known[pid].lineage
+            length = len(self.known)
         block_id = round_ * self.n + self.id
-        lineage.add(block_id)
-        return Block(block_id, self.id, round_, parents, tx, frozenset(lineage))
+        return Block(block_id, self.id, round_, parents, tx, length)
 
     def _accept_tx(self, tx):
         if tx not in self.seen_tx:
@@ -136,7 +136,7 @@ class BlockchainPeer(AlgorithmNode):
         self.childless.add(block.id)
         self.seen_tx.add(block.tx)
         self.pending.pop(block.tx, None)
-        length = len(block.lineage)
+        length = block.length
         if length > self.best_len or (length == self.best_len
                                       and block.id < self.best_tip):
             self.best_len = length
@@ -148,7 +148,7 @@ class BlockchainPeer(AlgorithmNode):
 
 
 def confirmed_blocks(peers) -> int:
-    """Minimum over peers of each peer's longest-lineage length."""
+    """Minimum over peers of each peer's longest chain length."""
     return min(peer.confirmed_length for peer in peers)
 
 
@@ -177,8 +177,8 @@ class BlockchainFamily(Algorithm):
                               self.params["transactionProbability"],
                               self.params["mineProbability"])
 
-    def end_of_round(self, round_, nodes, ctxs, logger):
-        count = min(nodes[nid].confirmed_length for nid in nodes)
+    def end_of_round(self, round_, nodes, logger):
+        count = confirmed_blocks(nodes.values())
         logger.append(TAG_CONFIRMED, {"round": round_, "count": count})
 
 

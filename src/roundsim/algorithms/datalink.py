@@ -162,7 +162,7 @@ class DatalinkFamily(Algorithm):
             return SdlSender(self.receiver_id, self.timeout_limit, copies)
         return SdlReceiver(self.sender_id)
 
-    def finalize(self, nodes, ctxs, logger):
+    def finalize(self, nodes, logger):
         sender = nodes[self.sender_id]
         receiver = nodes[self.receiver_id]
         logger.append(TAG_UTILITY, {"sent": sender.sent,

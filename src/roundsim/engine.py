@@ -37,9 +37,9 @@ class Engine:
         adjacency = algo.adjacency()
         network = Network(adjacency, config.delay, config.loss_probability,
                           streams, fifo=algo.fifo_channels, logger=logger)
-        nodes, ctxs, members = {}, {}, []
+        nodes, members = {}, []
         for nid in sorted(adjacency):
-            ctx = ctxs[nid] = NodeContext(nid, adjacency[nid], streams, logger)
+            ctx = NodeContext(nid, adjacency[nid], streams, logger)
             node = nodes[nid] = algo.create_node(nid)
             members.append((nid, node, ctx))
 
@@ -81,9 +81,9 @@ class Engine:
                         network.enqueue(nid, dest, payload, round_)
                     out.clear()
 
-            algo.end_of_round(round_, nodes, ctxs, logger)
+            algo.end_of_round(round_, nodes, logger)
         else:
-            algo.finalize(nodes, ctxs, logger)
+            algo.finalize(nodes, logger)
 
         self.stats["sent"] += network.total_sent
         self.stats["delivered"] += network.total_delivered

@@ -1,13 +1,15 @@
 """Network fabric: topology, channels, packets, delay and loss.
 
-Channels are unicast and FIFO by default, and opened on their first send;
-a channel's stream is keyed by (sender, receiver), so opening it late
+Channels are unicast and FIFO by default, and opened on their first send.
+A channel whose law draws (loss, or a random delay) builds its stream as
+it opens; the stream is keyed by (sender, receiver), so opening it late
 draws the same values. A packet's delivery round is fixed at enqueue time
 (send round + sampled delay, clamped so delivery order matches enqueue
-order on FIFO channels); delivery itself is a bucket lookup per round, so
-idle channels cost nothing.
+order on FIFO channels), and the packet is filed under that round and its
+receiver. Delivery is one lookup per round, so idle channels cost nothing.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -85,10 +87,11 @@ class Packet:
 
 
 class Channel:
-    """Unicast link from one sender to one receiver."""
+    """Unicast link from one sender to one receiver; rng is None when
+    its law never draws (deterministic delay, no loss)."""
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
-                 "last_delivery_round", "_rng", "_streams")
+                 "last_delivery_round", "rng")
 
     def __init__(self, sender: int, receiver: int, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory, fifo: bool = True):
@@ -98,14 +101,8 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        self._rng = None  # created on first random draw
-        self._streams = streams
-
-    @property
-    def rng(self):
-        if self._rng is None:
-            self._rng = self._streams.channel(self.sender, self.receiver)
-        return self._rng
+        draws = loss_probability > 0.0 or delay.kind != DETERMINISTIC
+        self.rng = streams.channel(sender, receiver) if draws else None
 
     def make_packet(self, payload, send_round: int) -> Optional[Packet]:
         """Loss trial, then delay sample; None when the message is lost.
@@ -115,10 +112,7 @@ class Channel:
         """
         if self.loss_probability > 0.0 and self.rng.random() < self.loss_probability:
             return None
-        if self.delay.kind == DETERMINISTIC:
-            delay = self.delay.value
-        else:
-            delay = sample_delay(self.delay, self.rng)
+        delay = sample_delay(self.delay, self.rng)
         delivery = send_round + delay
         if self.fifo and delivery < self.last_delivery_round:
             delivery = self.last_delivery_round
@@ -137,7 +131,7 @@ class Network:
         self._adjacency = adjacency
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
                              streams=streams, fifo=fifo)
-        self._buckets = {}  # delivery round -> list[Packet]
+        self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
         self._logger = logger
         self.in_flight = 0
         self.total_sent = 0
@@ -161,7 +155,7 @@ class Network:
             if log is not None and log.enabled(NET_DROP):
                 log.append(NET_DROP, {"from": sender, "to": receiver})
             return None
-        self._buckets.setdefault(packet.delivery_round, []).append(packet)
+        self._buckets[packet.delivery_round].setdefault(receiver, []).append(packet)
         self.in_flight += 1
         self.total_sent += 1
         if log is not None and log.enabled(NET_SEND):
@@ -172,21 +166,19 @@ class Network:
     def collect_deliverable(self, round_: int) -> dict:
         """Packets whose delivery round has arrived, grouped by destination.
 
-        Within a destination, packets are ordered by (sender id, channel
-        enqueue order): buckets fill in enqueue order and the sort is stable.
-        Must be called once per round, in round order.
+        Destinations come in the order their first packet for this round
+        was enqueued. Within a destination, packets are ordered by (sender
+        id, channel enqueue order): lists fill in enqueue order and the
+        sort is stable. Must be called once per round, in round order.
         """
-        bucket = self._buckets.pop(round_, None)
-        if not bucket:
+        by_dest = self._buckets.pop(round_, None)
+        if not by_dest:
             return {}
-        self.in_flight -= len(bucket)
-        self.total_delivered += len(bucket)
-        by_dest = {}
-        for packet in bucket:
-            by_dest.setdefault(packet.destination, []).append(packet)
         log = self._logger
         deliver_enabled = log is not None and log.enabled(NET_DELIVER)
         for dest, packets in by_dest.items():
+            self.in_flight -= len(packets)
+            self.total_delivered += len(packets)
             packets.sort(key=attrgetter("source"))
             if deliver_enabled:
                 for p in packets:

@@ -24,17 +24,18 @@ from .errors import ConfigError, SimulationError
 from .rng import SWEEP, derive_seed
 from .runlog import serialize
 
-# metric name -> (reducer over a LogDocument, algorithm ids it applies to)
+# metric name -> (reducer over a LogDocument, algorithm ids it applies to,
+#                 metricParams keys it accepts, each an integer >= 1)
 METRICS = {
     "throughput_series": (
         lambda doc, params: throughput_series(doc, params.get("window", 5)),
-        frozenset({"bitcoin", "ethereum"})),
+        frozenset({"bitcoin", "ethereum"}), ("window",)),
     "mean_latency": (lambda doc, params: mean_latency(doc),
-                     frozenset({"pbft", "raft"})),
+                     frozenset({"pbft", "raft"}), ()),
     "utility": (lambda doc, params: utility(doc),
-                frozenset({"abp", "sdl"})),
+                frozenset({"abp", "sdl"}), ()),
     "mean_hops": (lambda doc, params: mean_hops(doc),
-                  frozenset({"chord", "kademlia"})),
+                  frozenset({"chord", "kademlia"}), ()),
 }
 
 _SWEEP_KEYS = {"base", "axis", "points", "variants", "metric", "metricParams"}
@@ -138,7 +139,7 @@ def parse_sweep(obj: dict) -> Sweep:
     if metric not in METRICS:
         raise ConfigError("metric",
                           f"expected one of {sorted(METRICS)}, got {metric!r}")
-    allowed = METRICS[metric][1]
+    _, allowed, param_keys = METRICS[metric]
     for v in variants:
         if v not in allowed:
             raise ConfigError("variants",
@@ -146,6 +147,10 @@ def parse_sweep(obj: dict) -> Sweep:
     params = obj.get("metricParams", {})
     if not isinstance(params, dict):
         raise ConfigError("metricParams", "expected an object")
+    for key, value in params.items():
+        if key not in param_keys:
+            raise ConfigError(f"metricParams.{key}", f"not a parameter of {metric!r}")
+        config_mod._as_int(value, f"metricParams.{key}", minimum=1)
     return Sweep(base, axis, tuple(points), tuple(variants), metric, params)
 
 

@@ -6,7 +6,7 @@ from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
 from roundsim.algorithms.blockchain import (
-    GENESIS_ID, BlockchainPeer, confirmed_blocks, make_genesis,
+    GENESIS_ID, Block, BlockchainPeer, confirmed_blocks, make_genesis,
     throughput_series)
 from roundsim.runlog import LogDocument, LogRecord
 
@@ -25,14 +25,22 @@ def make_peer(variant="bitcoin", node_id=0, n=4):
     return peer
 
 
+def ancestors(known, parents):
+    """Reference: the ids reached from parents through parent links,
+    genesis excluded."""
+    seen = set()
+    stack = list(parents)
+    while stack:
+        pid = stack.pop()
+        if pid != GENESIS_ID and pid not in seen:
+            seen.add(pid)
+            stack.extend(known[pid].parents)
+    return seen
+
+
 def block(peer, block_id, parents, tx=0):
-    lineage = set()
-    for pid in parents:
-        lineage |= peer.known[pid].lineage
-    lineage.add(block_id)
-    from roundsim.algorithms.blockchain import Block
     return Block(block_id, 0, block_id // peer.n, tuple(parents), tx,
-                 frozenset(lineage))
+                 len(ancestors(peer.known, parents)) + 1)
 
 
 # unit-level ------------------------------------------------------------------
@@ -67,7 +75,7 @@ def test_bitcoin_extends_single_best_tip():
     peer._adopt(b2)
     mined = peer._mine(tx=99, round_=3)
     assert mined.parents == (8,)
-    assert len(mined.lineage) == 3
+    assert mined.length == 3
 
 
 def test_ethereum_merges_all_childless_tips():
@@ -78,8 +86,7 @@ def test_ethereum_merges_all_childless_tips():
     peer._adopt(b2)
     mined = peer._mine(tx=99, round_=3)
     assert mined.parents == (4, 5)
-    assert mined.lineage == frozenset({4, 5, mined.id})
-    assert len(mined.lineage) == 3
+    assert mined.length == 3
 
 
 def test_orphans_adopt_once_parents_arrive():
@@ -170,6 +177,7 @@ def test_parent_index_ends_where_the_fixpoint_loop_does(trial):
     rnd.shuffle(arrivals)
 
     indexed = make_peer("ethereum")
+    chain = make_peer("bitcoin")
     reference = FixpointPeer(0, 4, "ethereum", 0.05, 0.025)
     reference.known[GENESIS_ID] = make_genesis()
     reference.childless.add(GENESIS_ID)
@@ -180,9 +188,13 @@ def test_parent_index_ends_where_the_fixpoint_loop_does(trial):
     for b in arrivals:
         indexed._accept_block(b)
         reference._accept_block(b)
+        chain._accept_block(b)
         assert peer_state(indexed) == peer_state(reference)
         waiting = {w.id for ws in indexed.waiting.values() for w in ws}
         assert waiting == {o.id for o in reference.orphans}
+        for peer in (indexed, chain):
+            mined = peer._mine(tx=99, round_=1000)
+            assert mined.length == len(ancestors(peer.known, mined.parents)) + 1
     assert indexed.waiting == {} and set(indexed.known) == set(builder.known)
 
 

@@ -17,7 +17,7 @@ class _TickFamily(Algorithm):
     def create_node(self, node_id):
         return _TickNode()
 
-    def finalize(self, nodes, ctxs, logger):
+    def finalize(self, nodes, logger):
         logger.append("done", {"totals": [n.total for _, n in sorted(nodes.items())]})
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from roundsim.errors import ConfigError
 from roundsim.network import Channel, DelayDistribution, Network, sample_delay
 from roundsim.rng import StreamFactory
+from roundsim.runlog import NET_DELIVER, RunLogger
 
 N_STAT = 100_000
 ALPHA = 0.01
@@ -68,6 +71,13 @@ def test_delay_always_at_least_one_round():
     for dist in (DelayDistribution.uniform(1, 3), DelayDistribution.poisson(1.2)):
         samples = draw_delays(dist, 20_000)
         assert samples.min() >= 1
+
+
+def test_deterministic_lossless_channel_draws_nothing():
+    chan = Channel(0, 1, DelayDistribution.deterministic(2), 0.0, streams=None)
+    assert chan.rng is None
+    packets = [chan.make_packet("m", r) for r in range(5)]
+    assert [p.delivery_round for p in packets] == [2, 3, 4, 5, 6]
 
 
 def test_loss_one_drops_everything():
@@ -139,6 +149,39 @@ def test_delivery_sorted_by_sender_then_enqueue_order():
     delivered = net.collect_deliverable(2)[0]
     assert [(p.source, p.payload) for p in delivered] == [
         (2, "y1"), (7, "x1"), (7, "x2")]
+
+
+def test_arrivals_grouped_by_destination_then_stably_by_sender():
+    nodes = range(6)
+    adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
+    logger = RunLogger([NET_DELIVER])
+    net = Network(adjacency, DelayDistribution.uniform(1, 4), 0.0,
+                  StreamFactory(3, 0), logger=logger)
+    rnd = random.Random(4)
+    sent, delivered = [], []
+    for round_ in range(40):
+        logger.set_position(0, round_)
+        arrivals = net.collect_deliverable(round_)
+        # reference: this round's packets by destination in enqueue
+        # order, then stable-sorted by sender
+        expected = {}
+        for p in sent:
+            if p.delivery_round == round_:
+                expected.setdefault(p.destination, []).append(p)
+        for packets in expected.values():
+            packets.sort(key=lambda p: p.source)
+        assert list(arrivals.items()) == list(expected.items())
+        delivered += [(p.source, dest, p.send_round)
+                      for dest, packets in expected.items() for p in packets]
+        if round_ < 30:
+            for _ in range(rnd.randint(0, 8)):
+                u = rnd.choice((0, 2, 3, 5))
+                v = rnd.choice(adjacency[u])
+                sent.append(net.enqueue(u, v, len(sent), round_))
+    assert net.in_flight == 0 and net.total_delivered == len(sent)
+    assert len({p.destination for p in sent}) > 3
+    assert [(r.payload["from"], r.payload["to"], r.payload["sentRound"])
+            for r in logger.document.records(NET_DELIVER)] == delivered
 
 
 def test_missing_channel_raises():

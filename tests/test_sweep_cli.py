@@ -102,6 +102,12 @@ def test_series_kept_in_json_not_csv():
     ({"axis": ""}, "axis"),
     ({"points": 3}, "points"),
     ({"extra": 1}, "extra"),
+    ({"metricParams": {"window": 5}}, "metricParams.window"),
+] + [({"metric": "throughput_series", "variants": ["bitcoin"],
+       "metricParams": {"window": bad}}, "metricParams.window")
+     for bad in ("x", 2.5, [1], 0, True)] + [
+    ({"metric": "throughput_series", "variants": ["bitcoin"],
+      "metricParams": {"span": 5}}, "metricParams.span"),
 ])
 def test_sweep_validation(patch, path_part):
     with pytest.raises(ConfigError) as err:
@@ -209,6 +215,12 @@ POISSON_BASE = ('{"algorithm": "raft", "topology": {"kind": "complete", '
                 '"nodes": 3}, "roundsPerComputation": 5, '
                 '"delay": {"kind": "poisson", "mean": %s}}')
 
+THROUGHPUT_SWEEP = ('{"base": {"algorithm": "bitcoin", "topology": {"kind": '
+                    '"complete", "nodes": 3}, "roundsPerComputation": 5}, '
+                    '"axis": "seed", "points": [1], '
+                    '"metric": "throughput_series", '
+                    '"metricParams": {"window": %s}}')
+
 
 @pytest.mark.parametrize("command,raw,reason", [
     ("run", b'{"algorithm": "raft", "seed": 1}\xff', "not UTF-8"),
@@ -229,9 +241,19 @@ POISSON_BASE = ('{"algorithm": "raft", "topology": {"kind": "complete", '
             b'"algorithmParams": {"queriesPerRound": 16777216}}',
      "algorithmParams.queriesPerRound: roundsPerComputation x "
      "queriesPerRound is 33554432, above the limit of 16777216"),
+    ("run", b'{"algorithm": "bitcoin", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 3}, '
+            b'"algorithmParams": {"variant": "ethereum"}}',
+     "algorithmParams.variant: must match algorithm 'bitcoin', "
+     "got 'ethereum'"),
+    ("sweep", (THROUGHPUT_SWEEP % '"x"').encode(),
+     "metricParams.window: expected an integer, got 'x'"),
+    ("sweep", (THROUGHPUT_SWEEP % "0").encode(),
+     "metricParams.window: must be >= 1, got 0"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
-        "dht-schedule-too-large"])
+        "dht-schedule-too-large", "variant-not-algorithm",
+        "window-not-int", "window-zero"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
