@@ -67,7 +67,10 @@ class RunConfig:
         return sum(len(v) for v in self.adjacency.values())
 
     def with_(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
+        """A copy with some fields replaced, validated as parse_obj does."""
+        config = replace(self, **kwargs)
+        _family(config.algorithm).validate(config)
+        return config
 
     def to_json_obj(self, include_workers: bool = True) -> dict:
         # The log header omits workerCount: it does not change execution,
@@ -215,6 +218,16 @@ def _parse_delay(obj) -> DelayDistribution:
     return DelayDistribution.poisson(mean)
 
 
+def _family(algorithm: str):
+    """The registered family serving an algorithm id."""
+    from .algorithms import get_algorithm  # deferred: algorithms import node API
+
+    try:
+        return get_algorithm(algorithm)
+    except KeyError:
+        raise UnknownAlgorithmError(algorithm) from None
+
+
 def parse_obj(obj: dict) -> RunConfig:
     """Validate a decoded configuration object into a RunConfig."""
     if not isinstance(obj, dict):
@@ -253,13 +266,7 @@ def parse_obj(obj: dict) -> RunConfig:
             raise ConfigError("logTags", "expected a list of strings")
         log_tags = tuple(sorted(set(raw_tags)))
 
-    from .algorithms import get_algorithm  # deferred: algorithms import node API
-
-    try:
-        family = get_algorithm(algorithm)
-    except KeyError:
-        raise UnknownAlgorithmError(algorithm) from None
-
+    family = _family(algorithm)
     config = RunConfig(
         algorithm=algorithm,
         adjacency=adjacency,

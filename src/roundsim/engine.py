@@ -2,9 +2,12 @@
 
 Each round is three strict phases: receive (drain arrivals into node
 inboxes), compute (every node acts exactly once, in ascending id order),
-send (stage outboxes onto channels in ascending sender order). Execution
-is serial: workerCount is accepted and validated but does not change how
-a run executes, so the log is the same for any value of it.
+send (stage outboxes onto channels in ascending sender order, one
+`Network.send` call per sender with a non-empty out-buffer). A channel
+that never draws delivers exactly its delay `value` rounds later, with no
+FIFO clamp. Execution is serial: workerCount is accepted and validated
+but does not change how a run executes, so the log is the same for any
+value of it.
 """
 
 from .algorithms import get_algorithm
@@ -73,12 +76,12 @@ class Engine:
                 }, node=nid)
                 break
 
-            # Send: staged messages enter channels in ascending sender order.
+            # Send: each out-buffer enters the fabric in one call, in
+            # ascending sender order.
             for nid, _, ctx in members:
                 out = ctx.out_buffer
                 if out:
-                    for dest, payload in out:
-                        network.enqueue(nid, dest, payload, round_)
+                    network.send(nid, out, round_)
                     out.clear()
 
             algo.end_of_round(round_, nodes, logger)

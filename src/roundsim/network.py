@@ -3,17 +3,21 @@
 Channels are unicast and FIFO by default, and opened on their first send.
 A channel whose law draws (loss, or a random delay) builds its stream as
 it opens; the stream is keyed by (sender, receiver), so opening it late
-draws the same values. A packet's delivery round is fixed at enqueue time
-(send round + sampled delay, clamped so delivery order matches enqueue
-order on FIFO channels), and the packet is filed under that round and its
-receiver. Delivery is one lookup per round, so idle channels cost nothing.
+draws the same values. A packet's delivery round is fixed when it is
+staged: send round + sampled delay, clamped so delivery order matches
+staging order on FIFO channels. A channel that never draws (deterministic
+delay, no loss) delivers exactly `value` rounds later with no clamp: its
+delay is constant and send rounds never go down, so it is FIFO as it is.
+The engine stages each sender's whole out-buffer with one `Network.send`
+call. Packets are filed under their delivery round and receiver, so
+delivery is one lookup per round and idle channels cost nothing.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 from .rng import StreamFactory
@@ -74,9 +78,12 @@ def sample_delay(dist: DelayDistribution, rng) -> int:
     return 1 + int(rng.poisson(dist.mean - 1.0))
 
 
-@dataclass(slots=True)
-class Packet:
-    """Envelope around an algorithm message while in transit."""
+class Packet(NamedTuple):
+    """Envelope around an algorithm message while in transit.
+
+    The fabric builds packets with ``tuple.__new__``, so making one runs
+    no Python frame; fields read by name or by index.
+    """
 
     source: int
     destination: int
@@ -84,6 +91,10 @@ class Packet:
     delay: int
     delivery_round: int
     payload: object
+
+
+_new_tuple = tuple.__new__
+_by_source = itemgetter(0)
 
 
 class Channel:
@@ -117,8 +128,8 @@ class Channel:
         if self.fifo and delivery < self.last_delivery_round:
             delivery = self.last_delivery_round
         self.last_delivery_round = delivery
-        return Packet(self.sender, self.receiver, send_round, delay, delivery,
-                      payload)
+        return _new_tuple(Packet, (self.sender, self.receiver, send_round,
+                                   delay, delivery, payload))
 
 
 class Network:
@@ -129,10 +140,15 @@ class Network:
                  fifo: bool = True, logger: Optional[RunLogger] = None):
         self.channels = {}  # (sender, receiver) -> Channel, opened on first send
         self._adjacency = adjacency
+        self._delay = delay
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
                              streams=streams, fifo=fifo)
         self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
         self._logger = logger
+        # Fabric tags are checked once here, never per message.
+        self._log_send, self._log_drop, self._log_deliver = (
+            logger is not None and logger.enabled(tag)
+            for tag in (NET_SEND, NET_DROP, NET_DELIVER))
         self.in_flight = 0
         self.total_sent = 0
         self.total_delivered = 0
@@ -146,41 +162,71 @@ class Network:
             channel = self.channels[(sender, receiver)] = self._open(sender, receiver)
         return channel
 
-    def enqueue(self, sender: int, receiver: int, payload, send_round: int) -> Optional[Packet]:
-        channel = self.channel(sender, receiver)
-        packet = channel.make_packet(payload, send_round)
-        log = self._logger
-        if packet is None:
-            self.total_dropped += 1
-            if log is not None and log.enabled(NET_DROP):
-                log.append(NET_DROP, {"from": sender, "to": receiver})
-            return None
-        self._buckets[packet.delivery_round].setdefault(receiver, []).append(packet)
-        self.in_flight += 1
-        self.total_sent += 1
-        if log is not None and log.enabled(NET_SEND):
-            log.append(NET_SEND, {"from": sender, "to": receiver,
-                                  "deliveryRound": packet.delivery_round})
+    def send(self, sender: int, out, send_round: int) -> Optional[Packet]:
+        """Stage one sender's out-buffer, a sequence of (receiver, payload),
+        in order; returns the last message's packet, or None if it was lost.
+
+        A channel that never draws delivers exactly `value` rounds later;
+        every other channel goes through `Channel.make_packet`.
+        """
+        channels, buckets, log = self.channels, self._buckets, self._logger
+        log_send, log_drop = self._log_send, self._log_drop
+        value = self._delay.value
+        packet = None
+        sent = dropped = 0
+        try:
+            for receiver, payload in out:
+                channel = (channels.get((sender, receiver))
+                           or self.channel(sender, receiver))
+                if channel.rng is None:
+                    delivery = send_round + value
+                    packet = _new_tuple(Packet, (sender, receiver, send_round,
+                                                 value, delivery, payload))
+                else:
+                    packet = channel.make_packet(payload, send_round)
+                    if packet is None:
+                        dropped += 1
+                        if log_drop:
+                            log.append(NET_DROP, {"from": sender, "to": receiver})
+                        continue
+                    delivery = packet[4]
+                by_dest = buckets[delivery]
+                packets = by_dest.get(receiver)
+                if packets is None:
+                    by_dest[receiver] = [packet]
+                else:
+                    packets.append(packet)
+                sent += 1
+                if log_send:
+                    log.append(NET_SEND, {"from": sender, "to": receiver,
+                                          "deliveryRound": delivery})
+        finally:  # an unknown edge raises mid-buffer; count what was staged
+            self.in_flight += sent
+            self.total_sent += sent
+            self.total_dropped += dropped
         return packet
+
+    def enqueue(self, sender: int, receiver: int, payload, send_round: int) -> Optional[Packet]:
+        """Stage one message; its packet, or None if it was lost."""
+        return self.send(sender, ((receiver, payload),), send_round)
 
     def collect_deliverable(self, round_: int) -> dict:
         """Packets whose delivery round has arrived, grouped by destination.
 
         Destinations come in the order their first packet for this round
-        was enqueued. Within a destination, packets are ordered by (sender
-        id, channel enqueue order): lists fill in enqueue order and the
+        was staged. Within a destination, packets are ordered by (sender
+        id, channel staging order): lists fill in staging order and the
         sort is stable. Must be called once per round, in round order.
         """
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:
             return {}
         log = self._logger
-        deliver_enabled = log is not None and log.enabled(NET_DELIVER)
         for dest, packets in by_dest.items():
             self.in_flight -= len(packets)
             self.total_delivered += len(packets)
-            packets.sort(key=attrgetter("source"))
-            if deliver_enabled:
+            packets.sort(key=_by_source)
+            if self._log_deliver:
                 for p in packets:
                     log.append(NET_DELIVER, {"from": p.source, "to": dest,
                                              "sentRound": p.send_round})

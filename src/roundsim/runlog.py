@@ -94,6 +94,9 @@ class RunLogger:
         # None means "all algorithm tags"; fabric trace tags stay opt-in.
         self.enabled_tags = None if enabled_tags is None else frozenset(enabled_tags)
         self.document = LogDocument()
+        # tag -> that tag's record list in the document, or None when the
+        # tag is disabled; filled in on a tag's first append.
+        self._records = {}
         self.computation = 0
         self.round = 0
 
@@ -109,7 +112,10 @@ class RunLogger:
         self.round = round_
 
     def append(self, tag: str, payload, node: Optional[int] = None) -> None:
-        if not self.enabled(tag):
-            return
-        rec = LogRecord(self.computation, self.round, node, payload)
-        self.document.append(tag, rec)
+        try:
+            records = self._records[tag]
+        except KeyError:
+            records = self._records[tag] = (
+                self.document.data.setdefault(tag, []) if self.enabled(tag) else None)
+        if records is not None:
+            records.append(LogRecord(self.computation, self.round, node, payload))

@@ -99,6 +99,22 @@ def test_with_copies_and_overrides():
     assert other.seed == 8
     assert config.seed == 7
     assert other.adjacency == config.adjacency
+    assert config.with_(worker_count=4).worker_count == 4
+
+
+def test_with_validates_like_parse_obj():
+    config = parse_obj(minimal(seed=3))
+    # switching algorithm alone leaves variant "bitcoin" behind
+    with pytest.raises(ConfigError, match="algorithmParams.variant"):
+        config.with_(algorithm="ethereum")
+    with pytest.raises(UnknownAlgorithmError):
+        config.with_(algorithm="nope")
+    with pytest.raises(ConfigError, match="algorithmParams.mineProbability"):
+        config.with_(algorithm_params=dict(config.algorithm_params,
+                                           mineProbability=2))
+    eth = config.with_(algorithm="ethereum", algorithm_params=dict(
+        config.algorithm_params, variant="ethereum"))
+    assert eth == parse_obj(minimal(seed=3, algorithm="ethereum"))
 
 
 # family-level validation ----------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 from roundsim.errors import ConfigError
-from roundsim.network import Channel, DelayDistribution, Network, sample_delay
+from roundsim.network import (Channel, DelayDistribution, Network, Packet,
+                              sample_delay)
 from roundsim.rng import StreamFactory
-from roundsim.runlog import NET_DELIVER, RunLogger
+from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
 
 N_STAT = 100_000
 ALPHA = 0.01
@@ -202,6 +203,10 @@ def test_channels_open_on_first_send():
                            match=f"topology: no channel {sender}->{receiver}"):
             net.enqueue(sender, receiver, "m", 0)
     assert list(net.channels) == [(0, 2)]
+    with pytest.raises(ConfigError, match="no channel 0->0"):
+        net.send(0, [(1, "a"), (0, "b"), (2, "c")], 2)
+    assert list(net.channels) == [(0, 2), (0, 1)]
+    assert (net.total_sent, net.in_flight) == (3, 3)
 
 
 def test_network_counters():
@@ -227,3 +232,60 @@ def test_identical_seeds_identical_traffic():
 
     assert trace(9) == trace(9)
     assert trace(9) != trace(10)
+
+
+def test_one_send_per_sender_matches_per_message_enqueues():
+    nodes = range(6)
+    adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
+
+    def fabric():
+        logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+        return logger, Network(adjacency, DelayDistribution.poisson(2.5), 0.1,
+                               StreamFactory(8, 0), logger=logger)
+
+    def counters(net):
+        return (net.in_flight, net.total_sent, net.total_dropped,
+                net.total_delivered)
+
+    (log_a, batched), (log_b, single) = fabric(), fabric()
+    rnd = random.Random(6)
+    payload_id = 0
+    for round_ in range(40):
+        for log in (log_a, log_b):
+            log.set_position(0, round_)
+        assert batched.collect_deliverable(round_) == \
+            single.collect_deliverable(round_)
+        for sender in nodes:
+            out = []
+            for _ in range(rnd.choice((0, 1, 5, 12))):
+                out.append((rnd.choice(adjacency[sender]), payload_id))
+                payload_id += 1
+            if out:
+                batched.send(sender, out, round_)
+            for dest, payload in out:
+                single.enqueue(sender, dest, payload, round_)
+        assert counters(batched) == counters(single)
+    assert batched.total_dropped > 0 and batched.total_delivered > 0
+    for tag in (NET_SEND, NET_DROP, NET_DELIVER):
+        assert log_a.document.records(tag) == log_b.document.records(tag)
+        assert log_a.document.records(tag)
+
+
+def test_fixed_delay_branch_equals_make_packet():
+    delay = DelayDistribution.deterministic(3)
+    net = Network({0: (1,), 1: ()}, delay, 0.0, streams=None)
+    twin = Channel(0, 1, delay, 0.0, streams=None)
+    rnd = random.Random(2)
+    send_round = 0
+    for i in range(200):
+        send_round += rnd.choice((0, 0, 1, 2))
+        payload = {"i": i}
+        packet = net.enqueue(0, 1, payload, send_round)
+        assert net.channels[(0, 1)].rng is None
+        assert packet == twin.make_packet(payload, send_round)
+        assert packet.payload is payload
+        assert (packet.source, packet.destination, packet.send_round,
+                packet.delay, packet.delivery_round) == (0, 1, send_round, 3,
+                                                         send_round + 3)
+    assert Packet._fields == ("source", "destination", "send_round", "delay",
+                              "delivery_round", "payload")

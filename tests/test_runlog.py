@@ -35,6 +35,20 @@ def test_disabled_appends_are_dropped():
     assert logger.document.records("drop") == []
 
 
+def test_only_appended_enabled_tags_reach_the_document():
+    for tags in (None, (), ("keep",)):
+        logger = RunLogger(tags)
+        for _ in range(2):
+            logger.append(NET_SEND, {"from": 0})
+            logger.append("drop" if tags is not None else NET_DROP, 2)
+        assert list(logger.document.data) == []
+        logger.append(ERROR_TAG, {"node": 1})
+        logger.append("keep", 3)
+        expected = [ERROR_TAG] if tags == () else [ERROR_TAG, "keep"]
+        assert list(logger.document.data) == expected
+        assert logger.document.payloads(ERROR_TAG) == [{"node": 1}]
+
+
 def test_records_stamped_with_engine_position():
     logger = RunLogger()
     logger.set_position(2, 17)
