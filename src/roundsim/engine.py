@@ -8,13 +8,23 @@ that never draws delivers exactly its delay `value` rounds later, with no
 FIFO clamp. Execution is serial: workerCount is accepted and validated
 but does not change how a run executes, so the log is the same for any
 value of it.
+
+While the computations run, the collector's generation-0 threshold is
+raised: a run allocates many long-lived objects (records, packets, node
+state) and few cycles, so scanning the young generation every few hundred
+allocations costs more than it frees. The caller's thresholds are put back
+however `run` exits.
 """
+
+import gc
 
 from .algorithms import get_algorithm
 from .network import Network
 from .node import NodeContext
 from .rng import StreamFactory
 from .runlog import ERROR_TAG, LogDocument, RunLogger
+
+GEN0_THRESHOLD = 100_000
 
 
 class Engine:
@@ -26,8 +36,14 @@ class Engine:
     def run(self) -> LogDocument:
         config = self.config
         logger = RunLogger(config.log_tags)
-        for computation in range(config.computations_per_run):
-            self._run_computation(computation, logger)
+        thresholds = gc.get_threshold()
+        if 0 < thresholds[0] < GEN0_THRESHOLD:  # 0 means collection is off
+            gc.set_threshold(GEN0_THRESHOLD, *thresholds[1:])
+        try:
+            for computation in range(config.computations_per_run):
+                self._run_computation(computation, logger)
+        finally:
+            gc.set_threshold(*thresholds)
         doc = logger.document
         doc.meta = config.to_json_obj(include_workers=False)
         doc.canonicalize()

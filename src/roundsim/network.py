@@ -11,6 +11,13 @@ delay is constant and send rounds never go down, so it is FIFO as it is.
 The engine stages each sender's whole out-buffer with one `Network.send`
 call. Packets are filed under their delivery round and receiver, so
 delivery is one lookup per round and idle channels cost nothing.
+
+The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
+into the run log: the fabric takes each enabled tag's record list from the
+`RunLogger` once, and appends `SendRecord`, `DropRecord` and `DeliverRecord`
+tuples to it, stamped with the logger's position. No dict and no
+`LogRecord` is built per message; `runlog.serialize` renders the tuples
+through their templates.
 """
 
 from collections import defaultdict
@@ -21,7 +28,8 @@ from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 from .rng import StreamFactory
-from .runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
+from .runlog import (NET_DELIVER, NET_DROP, NET_SEND, DeliverRecord,
+                     DropRecord, RunLogger, SendRecord)
 
 DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
@@ -145,9 +153,10 @@ class Network:
                              streams=streams, fifo=fifo)
         self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
         self._logger = logger
-        # Fabric tags are checked once here, never per message.
-        self._log_send, self._log_drop, self._log_deliver = (
-            logger is not None and logger.enabled(tag)
+        # Fabric tags are resolved once here, never per message: each is
+        # that tag's record list, or None when the tag is off.
+        self._send_log, self._drop_log, self._deliver_log = (
+            None if logger is None else logger.records_for(tag)
             for tag in (NET_SEND, NET_DROP, NET_DELIVER))
         self.in_flight = 0
         self.total_sent = 0
@@ -170,7 +179,9 @@ class Network:
         every other channel goes through `Channel.make_packet`.
         """
         channels, buckets, log = self.channels, self._buckets, self._logger
-        log_send, log_drop = self._log_send, self._log_drop
+        send_log, drop_log = self._send_log, self._drop_log
+        if log is not None:
+            computation, at = log.computation, log.round
         value = self._delay.value
         packet = None
         sent = dropped = 0
@@ -186,8 +197,9 @@ class Network:
                     packet = channel.make_packet(payload, send_round)
                     if packet is None:
                         dropped += 1
-                        if log_drop:
-                            log.append(NET_DROP, {"from": sender, "to": receiver})
+                        if drop_log is not None:
+                            drop_log.append(_new_tuple(DropRecord, (
+                                computation, sender, receiver, at)))
                         continue
                     delivery = packet[4]
                 by_dest = buckets[delivery]
@@ -197,9 +209,9 @@ class Network:
                 else:
                     packets.append(packet)
                 sent += 1
-                if log_send:
-                    log.append(NET_SEND, {"from": sender, "to": receiver,
-                                          "deliveryRound": delivery})
+                if send_log is not None:
+                    send_log.append(_new_tuple(SendRecord, (
+                        computation, delivery, sender, receiver, at)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
             self.in_flight += sent
             self.total_sent += sent
@@ -221,13 +233,14 @@ class Network:
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:
             return {}
-        log = self._logger
+        deliver_log = self._deliver_log
+        if deliver_log is not None:
+            computation, at = self._logger.computation, self._logger.round
         for dest, packets in by_dest.items():
             self.in_flight -= len(packets)
             self.total_delivered += len(packets)
             packets.sort(key=_by_source)
-            if self._log_deliver:
-                for p in packets:
-                    log.append(NET_DELIVER, {"from": p.source, "to": dest,
-                                             "sentRound": p.send_round})
+            if deliver_log is not None:
+                deliver_log.extend([_new_tuple(DeliverRecord, (
+                    computation, p[0], p[2], dest, at)) for p in packets])
         return by_dest

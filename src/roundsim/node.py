@@ -15,12 +15,12 @@ from .errors import SimulationError
 
 class NodeContext:
     __slots__ = ("id", "neighbors", "in_stream", "out_buffer", "round",
-                 "_neighbor_set", "_logger", "_rng", "_streams")
+                 "_neighbor_ids", "_logger", "_rng", "_streams")
 
     def __init__(self, node_id: int, neighbors: tuple, streams, logger):
         self.id = node_id
         self.neighbors = tuple(neighbors)
-        self._neighbor_set = frozenset(neighbors)
+        self._neighbor_ids = {nid: nid for nid in neighbors}
         self.in_stream = deque()
         self.out_buffer = []
         self.round = 0
@@ -44,11 +44,15 @@ class NodeContext:
             out.append((dest, payload))
 
     def unicast(self, dest: int, payload) -> None:
-        if dest not in self._neighbor_set:
+        """Stage payload for one neighbor. The neighbor's own int id is
+        staged, so a destination that only equals it (a numpy integer,
+        say) reaches the fabric and its trace as that int."""
+        nid = self._neighbor_ids.get(dest)
+        if nid is None:
             raise SimulationError(
                 f"node {self.id} has no channel to {dest}; neighbors are "
-                f"{sorted(self._neighbor_set)}")
-        self.out_buffer.append((dest, payload))
+                f"{sorted(self._neighbor_ids)}")
+        self.out_buffer.append((nid, payload))
 
     def in_stream_empty(self) -> bool:
         return not self.in_stream

@@ -6,11 +6,27 @@ callers only choose a tag and a JSON-compatible payload. Canonical order is
 sorting before node records of the same round; the sort is stable, so records
 with equal stamps keep their emission order. Serializing the same document
 twice yields identical bytes.
+
+Records come in two kinds. A `LogRecord` holds any payload and is written
+with `json.dumps`. The fabric's per-message records (`SendRecord`,
+`DeliverRecord`, `DropRecord`, created only by `Network`) are tuples of
+ints: the stamp and payload values in the order their type's `TEMPLATE`
+prints them. Their `node` is always None, and `payload` builds a fresh dict
+on each read, so changing that dict does not change the log.
+
+`serialize` writes the document in one pass into one list of pieces. A tag
+whose records are all of one fabric type is rendered through that type's
+`%`-template; a tag that mixes kinds is rendered record by record; every
+other tag takes one `json.dumps` of its records. The renderer is chosen by
+record type, never by tag, so a node that logs under a `net.*` tag is
+written like any other record.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from itertools import islice
+from operator import itemgetter, le
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ._version import __version__
 
@@ -41,9 +57,82 @@ class LogRecord:
         }
 
 
+# Fabric records. Each template is the record's canonical JSON: keys in
+# sort_keys order, compact separators; fields follow the template's order.
+
+class SendRecord(NamedTuple):
+    """`net.send`: a message staged on a channel."""
+
+    computation: int
+    delivery_round: int
+    source: int
+    destination: int
+    round: int
+
+    node = None
+    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"deliveryRound":%d,'
+                '"from":%d,"to":%d},"round":%d}')
+
+    @property
+    def payload(self) -> dict:
+        return {"from": self.source, "to": self.destination,
+                "deliveryRound": self.delivery_round}
+
+
+class DeliverRecord(NamedTuple):
+    """`net.deliver`: a packet handed to its receiver."""
+
+    computation: int
+    source: int
+    sent_round: int
+    destination: int
+    round: int
+
+    node = None
+    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,'
+                '"sentRound":%d,"to":%d},"round":%d}')
+
+    @property
+    def payload(self) -> dict:
+        return {"from": self.source, "to": self.destination,
+                "sentRound": self.sent_round}
+
+
+class DropRecord(NamedTuple):
+    """`net.drop`: a message lost on its channel."""
+
+    computation: int
+    source: int
+    destination: int
+    round: int
+
+    node = None
+    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,"to":%d},'
+                '"round":%d}')
+
+    @property
+    def payload(self) -> dict:
+        return {"from": self.source, "to": self.destination}
+
+
+_TEMPLATES = {kind: kind.TEMPLATE for kind in (SendRecord, DeliverRecord, DropRecord)}
+
+
 def _sort_key(rec: LogRecord):
     node = -1 if rec.node is None else rec.node
     return (rec.computation, rec.round, node)
+
+
+# (computation, round) of a fabric record; its node is always None, so this
+# orders a list of one fabric type as `_sort_key` does.
+_fabric_key = itemgetter(0, -1)
+
+
+def _order_key(kinds: set):
+    """Canonical sort key for a list whose record types are `kinds`."""
+    if len(kinds) == 1 and not kinds.isdisjoint(_TEMPLATES):
+        return _fabric_key
+    return _sort_key
 
 
 @dataclass
@@ -51,7 +140,7 @@ class LogDocument:
     """Append-only record set grouped by tag, plus a run metadata header."""
 
     meta: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)  # tag -> list[LogRecord]
+    data: dict = field(default_factory=dict)  # tag -> list of records
 
     def append(self, tag: str, record: LogRecord) -> None:
         self.data.setdefault(tag, []).append(record)
@@ -66,20 +155,46 @@ class LogDocument:
         return [rec.payload for rec in self.records(tag)]
 
     def canonicalize(self) -> None:
-        for records in self.data.values():
-            records.sort(key=_sort_key)
+        """Sort every tag into canonical order and drop tags with no record
+        (the fabric is handed its tags' lists before it has sent anything)."""
+        for tag, records in list(self.data.items()):
+            if records:
+                records.sort(key=_order_key(set(map(type, records))))
+            else:
+                del self.data[tag]
+
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                          allow_nan=False).encode
+
+
+def _render(rec) -> str:
+    template = _TEMPLATES.get(type(rec))
+    return _dumps(rec.to_json_obj()) if template is None else template % rec
 
 
 def serialize(doc: LogDocument) -> str:
     """Canonical JSON text: sorted keys, records in canonical order. The
-    document itself is left as it is."""
-    obj = {
-        "meta": dict(doc.meta, version=__version__),
-        "data": {tag: [r.to_json_obj()
-                       for r in sorted(doc.data[tag], key=_sort_key)]
-                 for tag in doc.tags()},
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    document itself is left as it is: a tag out of order is written from a
+    sorted copy."""
+    parts = ['{"data":{']
+    for i, tag in enumerate(doc.tags()):
+        # The tag is encoded as json encodes a dict key: '"tag":'.
+        parts.append(("," if i else "") + _dumps({tag: 0})[1:-2])
+        records = doc.data[tag]
+        kinds = set(map(type, records))
+        key = _order_key(kinds)
+        stamps = list(map(key, records))
+        if not all(map(le, stamps, islice(stamps, 1, None))):
+            records = sorted(records, key=key)
+        if kinds.isdisjoint(_TEMPLATES):
+            parts.append(_dumps([rec.to_json_obj() for rec in records]))
+        else:
+            render = (_TEMPLATES[kinds.pop()].__mod__ if len(kinds) == 1
+                      else _render)
+            parts += ("[", ",".join(map(render, records)), "]")
+    parts += ('},"meta":', _dumps(dict(doc.meta, version=__version__)), "}")
+    return "".join(parts)
 
 
 class RunLogger:
@@ -95,7 +210,8 @@ class RunLogger:
         self.enabled_tags = None if enabled_tags is None else frozenset(enabled_tags)
         self.document = LogDocument()
         # tag -> that tag's record list in the document, or None when the
-        # tag is disabled; filled in on a tag's first append.
+        # tag is disabled; filled in when a tag is first appended to or
+        # handed to the fabric.
         self._records = {}
         self.computation = 0
         self.round = 0
@@ -111,11 +227,21 @@ class RunLogger:
         self.computation = computation
         self.round = round_
 
+    def records_for(self, tag: str) -> Optional[list]:
+        """The tag's record list in the document, or None when the tag is
+        disabled; resolved once per tag. The fabric appends its records
+        to these lists itself."""
+        try:
+            return self._records[tag]
+        except KeyError:
+            records = self._records[tag] = (
+                self.document.data.setdefault(tag, []) if self.enabled(tag) else None)
+            return records
+
     def append(self, tag: str, payload, node: Optional[int] = None) -> None:
         try:
             records = self._records[tag]
         except KeyError:
-            records = self._records[tag] = (
-                self.document.data.setdefault(tag, []) if self.enabled(tag) else None)
+            records = self.records_for(tag)
         if records is not None:
             records.append(LogRecord(self.computation, self.round, node, payload))

@@ -1,5 +1,9 @@
+import gc
+
+import pytest
+
 from roundsim.config import parse_obj
-from roundsim.engine import Engine, run
+from roundsim.engine import GEN0_THRESHOLD, Engine, run
 from roundsim.runlog import serialize
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
 
@@ -122,3 +126,33 @@ def test_meta_echoes_config_without_worker_count():
     assert doc.meta["algorithm"] == "tick"
     assert doc.meta["seed"] == 5
     assert doc.meta["roundsPerComputation"] == 3
+
+
+def test_run_restores_the_gc_thresholds(monkeypatch):
+    caller = gc.get_threshold()
+    during = []
+    original_end_of_round = _TickFamily.end_of_round
+
+    def recording_end_of_round(self, round_, nodes, logger):
+        during.append(gc.get_threshold())
+        original_end_of_round(self, round_, nodes, logger)
+
+    def failing_end_of_round(self, round_, nodes, logger):
+        during.append(gc.get_threshold())
+        raise RuntimeError("end of round failed")
+
+    try:
+        for thresholds in ((500, 7, 9), (0, 7, 9)):  # 0: collection off
+            during.clear()
+            gc.set_threshold(*thresholds)
+            monkeypatch.setattr(_TickFamily, "end_of_round", recording_end_of_round)
+            run(tick_config())
+            assert gc.get_threshold() == thresholds
+            monkeypatch.setattr(_TickFamily, "end_of_round", failing_end_of_round)
+            with pytest.raises(RuntimeError, match="end of round failed"):
+                run(tick_config())
+            assert gc.get_threshold() == thresholds
+            gen0 = GEN0_THRESHOLD if thresholds[0] else 0
+            assert set(during) == {(gen0, 7, 9)} and len(during) == 3 * 2 + 1
+    finally:
+        gc.set_threshold(*caller)

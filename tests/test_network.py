@@ -8,7 +8,7 @@ from roundsim.errors import ConfigError
 from roundsim.network import (Channel, DelayDistribution, Network, Packet,
                               sample_delay)
 from roundsim.rng import StreamFactory
-from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
+from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
 
 N_STAT = 100_000
 ALPHA = 0.01
@@ -289,3 +289,42 @@ def test_fixed_delay_branch_equals_make_packet():
                                                          send_round + 3)
     assert Packet._fields == ("source", "destination", "send_round", "delay",
                               "delivery_round", "payload")
+
+
+def test_fabric_records_read_as_stamped_payloads():
+    nodes = range(5)
+    adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    net = Network(adjacency, DelayDistribution.poisson(2.0), 0.2,
+                  StreamFactory(4, 2), logger=logger)
+    rnd = random.Random(9)
+    # (computation, round, node, payload) as the dict-per-message trace had them
+    expected = {NET_SEND: [], NET_DROP: [], NET_DELIVER: []}
+    for round_ in range(30):
+        logger.set_position(2, round_)
+        for dest, packets in net.collect_deliverable(round_).items():
+            expected[NET_DELIVER] += [
+                (2, round_, None, {"from": p.source, "to": dest,
+                                   "sentRound": p.send_round})
+                for p in packets]
+        for _ in range(rnd.randint(0, 6) if round_ < 20 else 0):
+            u = rnd.choice(nodes)
+            v = rnd.choice(adjacency[u])
+            p = net.enqueue(u, v, None, round_)
+            if p is None:
+                expected[NET_DROP].append((2, round_, None, {"from": u, "to": v}))
+            else:
+                expected[NET_SEND].append((2, round_, None, {
+                    "from": u, "to": v, "deliveryRound": p.delivery_round}))
+    doc = logger.document
+    for tag, want in expected.items():
+        assert want
+        assert [(r.computation, r.round, r.node, r.payload)
+                for r in doc.records(tag)] == want
+        assert doc.payloads(tag) == [payload for *_, payload in want]
+    # payloads() builds a fresh dict per fabric record: changing it leaves
+    # the log as it is.
+    text = serialize(doc)
+    doc.payloads(NET_SEND)[0]["to"] = -1
+    assert doc.records(NET_SEND)[0].payload == expected[NET_SEND][0][3]
+    assert serialize(doc) == text

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from roundsim.config import parse_obj
@@ -36,6 +37,14 @@ def test_unicast_requires_a_channel():
     ctx = make_ctx(neighbors=(1,))
     with pytest.raises(SimulationError):
         ctx.unicast(5, "x")
+
+
+def test_unicast_stages_the_neighbor_id():
+    ctx = make_ctx(neighbors=(1, 2))
+    ctx.unicast(np.int64(2), "a")
+    ctx.unicast(2, "b")
+    assert ctx.out_buffer == [(2, "a"), (2, "b")]
+    assert [type(dest) for dest, _ in ctx.out_buffer] == [int, int]
 
 
 def test_pop_on_empty_stream_raises():

@@ -1,8 +1,34 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from roundsim._version import __version__
+from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
+from roundsim.config import load_file, parse_obj
+from roundsim.engine import run
 from roundsim.node import NodeContext
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
-                             LogDocument, LogRecord, RunLogger, serialize)
+                             NET_TAGS, DeliverRecord, DropRecord, LogDocument,
+                             LogRecord, RunLogger, SendRecord, serialize)
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def reference_serialize(doc):
+    """The plain serializer: every record as a dict, sorted by stamp, and
+    the whole document through one json.dumps."""
+    def key(rec):
+        return (rec.computation, rec.round, -1 if rec.node is None else rec.node)
+
+    obj = {
+        "meta": dict(doc.meta, version=__version__),
+        "data": {tag: [{"computation": r.computation, "round": r.round,
+                        "node": r.node, "payload": r.payload}
+                       for r in sorted(doc.data[tag], key=key)]
+                 for tag in sorted(doc.data)},
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def test_default_filter_takes_algorithm_tags_only():
@@ -126,3 +152,92 @@ def test_serialize_leaves_the_document_as_it_is():
         "r3", "engine", "r5n2", "r5n2-b"]
     assert [r["payload"] for r in obj["data"]["a"]] == ["early", "late"]
     assert doc.data == before
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_bundled_configs_with_fabric_tags_match_the_reference(path):
+    config = load_file(path)
+    config = config.with_(rounds_per_computation=min(
+        config.rounds_per_computation, 40))
+    algorithm_tags = (config.log_tags if config.log_tags is not None
+                      else run(config).tags())
+    doc = run(config.with_(log_tags=tuple(algorithm_tags) + tuple(NET_TAGS)))
+    assert doc.records(NET_SEND) and doc.records(NET_DELIVER)
+    assert serialize(doc) == reference_serialize(doc)
+
+
+def test_out_of_order_document_matches_the_reference_and_is_kept():
+    doc = LogDocument(meta={"seed": 1})
+    doc.data[NET_SEND] = [
+        tuple.__new__(SendRecord, (0, 4, 1, 2, 3)),
+        LogRecord(0, 1, 5, {"from": 1.5, "note": "x"}),
+        tuple.__new__(SendRecord, (0, 2, 2, 1, 1)),
+        tuple.__new__(SendRecord, (0, 3, 0, 1, 1)),
+    ]
+    doc.data[NET_DELIVER] = [tuple.__new__(DeliverRecord, (1, 0, 0, 1, 2)),
+                             tuple.__new__(DeliverRecord, (0, 2, 3, 1, 5))]
+    doc.data[NET_DROP] = [tuple.__new__(DropRecord, (0, 1, 0, 3)),
+                          tuple.__new__(DropRecord, (0, 0, 1, 3))]
+    doc.data["t"] = [LogRecord(0, 5, 2, "b"), LogRecord(0, 5, None, "a")]
+    before = {tag: list(records) for tag, records in doc.data.items()}
+    assert serialize(doc) == reference_serialize(doc)
+    assert doc.data == before
+    assert [rec["payload"] for rec in json.loads(serialize(doc))["data"][NET_SEND]] == [
+        {"from": 2, "to": 1, "deliveryRound": 2},
+        {"from": 0, "to": 1, "deliveryRound": 3},
+        {"from": 1.5, "note": "x"},
+        {"from": 1, "to": 2, "deliveryRound": 4}]
+
+
+def test_empty_document_matches_the_reference():
+    for doc in (LogDocument(), LogDocument(meta={"seed": 0, "a": [1]})):
+        assert serialize(doc) == reference_serialize(doc)
+    doc = LogDocument(data={"empty": []})
+    assert serialize(doc) == reference_serialize(doc)
+
+
+def test_canonicalize_drops_tags_with_no_record():
+    logger = RunLogger([NET_SEND, "kept"])
+    assert logger.records_for(NET_SEND) == []
+    assert logger.records_for(NET_DROP) is None
+    logger.append("kept", 1)
+    doc = logger.document
+    assert doc.tags() == ["kept", NET_SEND]
+    doc.canonicalize()
+    assert doc.tags() == ["kept"]
+
+
+# Node 1 logs under net.send, with a payload no fabric record could have,
+# in every round in which the fabric also logs its own sends.
+@register
+class _FabricTagLoggerFamily(Algorithm):
+    variants = ("fabric-tag-logger",)
+
+    def create_node(self, node_id):
+        return _FabricTagLogger()
+
+
+class _FabricTagLogger(AlgorithmNode):
+    def perform_computation(self, ctx):
+        while not ctx.in_stream_empty():
+            ctx.pop_in_stream()
+        if ctx.id == 1:
+            ctx.log(NET_SEND, {"from": 1.5, "note": "x"})
+        ctx.broadcast(ctx.round)
+
+
+def test_node_logged_fabric_tag_renders_like_the_reference():
+    doc = run(parse_obj({
+        "algorithm": "fabric-tag-logger",
+        "topology": {"kind": "complete", "nodes": 3},
+        "delay": {"kind": "uniform", "min": 1, "max": 3},
+        "lossProbability": 0.2, "roundsPerComputation": 6,
+        "computationsPerRun": 2, "seed": 7, "logTags": sorted(NET_TAGS)}))
+    text = serialize(doc)
+    assert text == reference_serialize(doc)
+    sends = json.loads(text)["data"][NET_SEND]
+    node_sends = [rec for rec in sends if rec["node"] is not None]
+    assert len(node_sends) == 2 * 6
+    assert all(rec["node"] == 1 and rec["payload"] == {"from": 1.5, "note": "x"}
+               for rec in node_sends)
+    assert len(sends) > len(node_sends)

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
 from roundsim.cli import main
 from roundsim.config import parse_obj
+from roundsim.engine import run
 from roundsim.errors import ConfigError
 from roundsim.sweep import (MetricTable, Row, benchmark_threads, load_sweep,
                             parse_sweep, point_config, run_sweep,
@@ -173,6 +175,27 @@ def test_cli_run_csv_to_file(tmp_path):
     lines = raw.split("\r\n")
     assert lines[0] == "tag,computation,round,node,payload"
     assert any(line.startswith("latency,") for line in lines)
+
+    traced = dict(run_config_obj(), logTags=["latency", "net.deliver", "net.send"])
+    cfg = write_json(tmp_path / "t.json", traced)
+    assert main(["run", cfg, "--format", "csv", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    doc = run(parse_obj(traced))
+    # the dicts the fabric logged per message, before its records were tuples
+    old = {"net.send": [{"from": r.source, "to": r.destination,
+                         "deliveryRound": r.delivery_round}
+                        for r in doc.records("net.send")],
+           "net.deliver": [{"from": r.source, "to": r.destination,
+                            "sentRound": r.sent_round}
+                           for r in doc.records("net.deliver")]}
+    for tag, payloads in old.items():
+        fabric = [row for row in rows if row[0] == tag]
+        assert len(fabric) == len(payloads) > 0
+        for row, rec, payload in zip(fabric, doc.records(tag), payloads):
+            assert row[1:] == [str(rec.computation), str(rec.round), "",
+                               json.dumps(payload, sort_keys=True,
+                                          separators=(",", ":"))]
 
 
 def test_cli_run_threads_override_changes_nothing(tmp_path, capsys):
