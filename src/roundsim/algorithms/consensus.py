@@ -102,6 +102,8 @@ class RaftNode(AlgorithmNode):
         self.majority = n // 2 + 1
         self.leader = leader_id
         self.is_leader = node_id == leader_id
+        # A follower only answers requests, so it runs only when one arrives.
+        self.wake_rounds = None if self.is_leader else ()
         self.seq = 0
         self.acks = 0
         self.start_round = None

@@ -51,6 +51,8 @@ class AbpSender(AlgorithmNode):
 
 
 class AbpReceiver(AlgorithmNode):
+    wake_rounds = ()  # acts only on arrivals
+
     def __init__(self, peer):
         self.peer = peer
         self.expected = 0
@@ -98,6 +100,8 @@ class SdlSender(AlgorithmNode):
 
 
 class SdlReceiver(AlgorithmNode):
+    wake_rounds = ()  # acts only on arrivals
+
     def __init__(self, peer):
         self.peer = peer
         self.expected = 0

@@ -58,6 +58,8 @@ class DhtNode(AlgorithmNode):
         self.bits = bits
         self.shortcuts = shortcuts  # per prefix length, kademlia only
         self.schedule = schedule    # round -> [(qid, target)] this node injects
+        # Idle unless a query arrives or one is injected.
+        self.wake_rounds = schedule
 
     def perform_computation(self, ctx):
         while ctx.in_stream:

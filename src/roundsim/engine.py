@@ -1,13 +1,21 @@
 """Round-driven execution core.
 
 Each round is three strict phases: receive (drain arrivals into node
-inboxes), compute (every node acts exactly once, in ascending id order),
-send (stage outboxes onto channels in ascending sender order, one
-`Network.send` call per sender with a non-empty out-buffer). A channel
-that never draws delivers exactly its delay `value` rounds later, with no
-FIFO clamp. Execution is serial: workerCount is accepted and validated
-but does not change how a run executes, so the log is the same for any
-value of it.
+inboxes), compute (every awake node acts once, in ascending id order),
+send (stage the awake nodes' outboxes onto channels in ascending sender
+order, one `Network.send` call per sender with a non-empty out-buffer). A
+channel that never draws delivers exactly its delay `value` rounds later,
+with no FIFO clamp. Execution is serial: workerCount is accepted and
+validated but does not change how a run executes, so the log is the same
+for any value of it.
+
+Wake contract: a node whose `wake_rounds` is None is awake every round. A
+node that sets it to a container of round numbers is awake in those
+rounds, in any round something arrives for it, and in the round after one
+it ended with packets still in its in-stream. A node opts in only if,
+when it is not awake, its compute hook would draw nothing, log nothing
+and send nothing; skipping it then leaves the log as it was. When no node
+opts in, every node is awake every round.
 
 While the computations run, the collector's generation-0 threshold is
 raised: a run allocates many long-lived objects (records, packets, node
@@ -31,7 +39,9 @@ class Engine:
     def __init__(self, config):
         self.config = config
         self.family = get_algorithm(config.algorithm)
-        self.stats = {"sent": 0, "delivered": 0, "dropped": 0}
+        # "computed" counts perform_computation calls, one per awake node
+        # per round.
+        self.stats = {"sent": 0, "delivered": 0, "dropped": 0, "computed": 0}
 
     def run(self) -> LogDocument:
         config = self.config
@@ -65,6 +75,11 @@ class Engine:
         logger.set_position(computation, 0)
         for _, node, ctx in members:
             node.initialize(ctx, config.algorithm_params)
+        schedule = _wake_schedule(members)
+        if schedule is not None:
+            always, due = schedule
+            by_id = {member[0]: member for member in members}
+            pending = ()  # awake nodes that left packets in their in-stream
 
         for round_ in range(config.rounds_per_computation):
             logger.set_position(computation, round_)
@@ -72,8 +87,15 @@ class Engine:
             # Receive and compute: everything due this round lands in a
             # node's inbox right before it acts.
             arrivals = network.collect_deliverable(round_)
+            if schedule is None:
+                awake = members
+            else:
+                ids = set(always)
+                ids.update(due.get(round_, ()), arrivals, pending)
+                awake = [by_id[nid] for nid in sorted(ids)]
+            self.stats["computed"] += len(awake)
             fault = None
-            for nid, node, ctx in members:
+            for nid, node, ctx in awake:
                 ctx.round = round_
                 packets = arrivals.get(nid)
                 if packets:
@@ -83,6 +105,8 @@ class Engine:
                 except Exception as exc:  # node faults abort the computation
                     if fault is None:
                         fault = (nid, exc)
+            if schedule is not None:
+                pending = [nid for nid, _, ctx in awake if ctx.in_stream]
             if fault is not None:
                 nid, exc = fault
                 logger.append(ERROR_TAG, {
@@ -93,8 +117,8 @@ class Engine:
                 break
 
             # Send: each out-buffer enters the fabric in one call, in
-            # ascending sender order.
-            for nid, _, ctx in members:
+            # ascending sender order; a node that did not act sends nothing.
+            for nid, _, ctx in awake:
                 out = ctx.out_buffer
                 if out:
                     network.send(nid, out, round_)
@@ -107,6 +131,22 @@ class Engine:
         self.stats["sent"] += network.total_sent
         self.stats["delivered"] += network.total_delivered
         self.stats["dropped"] += network.total_dropped
+
+
+def _wake_schedule(members):
+    """(ids of the always-awake nodes, round -> ids of the opted-in nodes
+    due that round), or None when no node opts in."""
+    always, due = [], {}
+    for nid, node, _ in members:
+        rounds = node.wake_rounds
+        if rounds is None:
+            always.append(nid)
+        else:
+            for round_ in rounds:
+                due.setdefault(round_, []).append(nid)
+    if len(always) == len(members):
+        return None
+    return always, due
 
 
 def run(config) -> LogDocument:

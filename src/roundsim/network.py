@@ -237,9 +237,11 @@ class Network:
         if deliver_log is not None:
             computation, at = self._logger.computation, self._logger.round
         for dest, packets in by_dest.items():
-            self.in_flight -= len(packets)
-            self.total_delivered += len(packets)
-            packets.sort(key=_by_source)
+            count = len(packets)
+            self.in_flight -= count
+            self.total_delivered += count
+            if count > 1:  # a single packet is in order already
+                packets.sort(key=_by_source)
             if deliver_log is not None:
                 deliver_log.extend([_new_tuple(DeliverRecord, (
                     computation, p[0], p[2], dest, at)) for p in packets])

@@ -71,9 +71,21 @@ class NodeContext:
 class AlgorithmNode:
     """Behavior hooks a protocol implements for one node.
 
-    perform_computation runs exactly once per node per round, during the
-    compute phase, with exclusive access to the context.
+    perform_computation runs at most once per node per round, during the
+    compute phase, with exclusive access to the context. When it runs is
+    set by `wake_rounds`:
+
+    - None (the default): every round.
+    - A container of round numbers (a class or instance attribute, fixed
+      before round 0): in those rounds, in every round something arrives
+      for the node, and in the round after one it ended with packets left
+      in its in-stream.
+
+    Opt in only if a round the node is not awake in is a round its hook
+    would draw nothing, log nothing and send nothing.
     """
+
+    wake_rounds = None
 
     def initialize(self, ctx: NodeContext, params: dict) -> None:
         pass

@@ -23,7 +23,6 @@ written like any other record.
 """
 
 import json
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter, le
 from typing import Any, Iterable, NamedTuple, Optional
@@ -41,12 +40,33 @@ NET_TAGS = frozenset({NET_SEND, NET_DELIVER, NET_DROP})
 ERROR_TAG = "error"
 
 
-@dataclass(slots=True)
 class LogRecord:
-    computation: int
-    round: int
-    node: Optional[int]
-    payload: Any
+    """A node's or the engine's record: the stamp and any JSON payload.
+
+    A plain slotted class, not a dataclass: building a dataclass costs
+    more at import than the class is worth."""
+
+    __slots__ = ("computation", "round", "node", "payload")
+
+    def __init__(self, computation: int, round: int, node: Optional[int],
+                 payload: Any):
+        self.computation = computation
+        self.round = round
+        self.node = node
+        self.payload = payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.computation, self.round, self.node, self.payload)
+                == (other.computation, other.round, other.node, other.payload))
+
+    __hash__ = None  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(computation={self.computation!r}, "
+                f"round={self.round!r}, node={self.node!r}, "
+                f"payload={self.payload!r})")
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,12 +155,23 @@ def _order_key(kinds: set):
     return _sort_key
 
 
-@dataclass
 class LogDocument:
     """Append-only record set grouped by tag, plus a run metadata header."""
 
-    meta: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)  # tag -> list of records
+    def __init__(self, meta: Optional[dict] = None, data: Optional[dict] = None):
+        self.meta = {} if meta is None else meta
+        self.data = {} if data is None else data  # tag -> list of records
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.meta, self.data) == (other.meta, other.data)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(meta={self.meta!r}, "
+                f"data={self.data!r})")
 
     def append(self, tag: str, record: LogRecord) -> None:
         self.data.setdefault(tag, []).append(record)

@@ -138,6 +138,25 @@ def test_record_json_is_stamp_and_payload():
     assert LogRecord.__slots__ == ("computation", "round", "node", "payload")
 
 
+def test_records_and_documents_compare_and_print_by_value():
+    rec = LogRecord(0, 1, None, {"k": [1]})
+    assert rec == LogRecord(0, 1, None, {"k": [1]})
+    for other in (LogRecord(1, 1, None, {"k": [1]}), LogRecord(0, 2, None, {"k": [1]}),
+                  LogRecord(0, 1, 3, {"k": [1]}), LogRecord(0, 1, None, {"k": [2]}),
+                  (0, 1, None, {"k": [1]})):
+        assert rec != other
+    assert repr(rec) == "LogRecord(computation=0, round=1, node=None, payload={'k': [1]})"
+    first, second = LogDocument(), LogDocument()
+    first.append("t", rec)
+    assert second.data == {} and second.meta == {}  # no shared defaults
+    assert first == LogDocument(data={"t": [LogRecord(0, 1, None, {"k": [1]})]})
+    assert first != second and first != {"t": [rec]}
+    assert repr(LogDocument(meta={"seed": 1})) == "LogDocument(meta={'seed': 1}, data={})"
+    for value in (rec, first):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_serialize_leaves_the_document_as_it_is():
     doc = LogDocument(meta={"seed": 1})
     doc.append("t", LogRecord(0, 5, 2, "r5n2"))
