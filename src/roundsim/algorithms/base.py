@@ -8,6 +8,8 @@ from the StreamFactory handed to __init__.
 
 from typing import Dict, Type
 
+from ..config import reject_unknown_keys
+from ..errors import ConfigError
 from ..node import AlgorithmNode
 
 
@@ -17,15 +19,26 @@ class Algorithm:
     # Datalink protocols opt out to exercise reordering channels.
     fifo_channels: bool = True
 
+    # The algorithmParams keys the family reads besides "variant", each
+    # with its default; a None default marks an optional key that is left
+    # out of the log header unless the config sets it.
+    param_defaults: dict = {}
+
     @classmethod
     def default_params(cls, algorithm_id: str) -> dict:
-        return {"variant": algorithm_id}
+        params = {k: v for k, v in cls.param_defaults.items() if v is not None}
+        params["variant"] = algorithm_id
+        return params
 
     @classmethod
     def validate(cls, config) -> None:
-        """Reject configurations the family cannot run. Raises ConfigError."""
-        from ..errors import ConfigError
-        variant = config.algorithm_params.get("variant")
+        """Reject configurations the family cannot run. Raises ConfigError.
+
+        Families extend it with the checks of their own parameters."""
+        params = config.algorithm_params
+        reject_unknown_keys(params, "algorithmParams.",
+                            cls.param_defaults.keys() | {"variant"})
+        variant = params.get("variant")
         if variant != config.algorithm:
             raise ConfigError("algorithmParams.variant",
                               f"must match algorithm {config.algorithm!r}, got {variant!r}")
@@ -62,7 +75,3 @@ def register(cls: Type[Algorithm]) -> Type[Algorithm]:
 
 def get_algorithm(name: str) -> Type[Algorithm]:
     return _REGISTRY[name]
-
-
-def registered_names() -> list:
-    return sorted(_REGISTRY)

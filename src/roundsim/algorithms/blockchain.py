@@ -6,7 +6,8 @@ round. Both draws are consumed every round whether or not they fire, so
 runs with identical seeds stay aligned across variants.
 """
 
-from ..errors import ConfigError, MetricError
+from ..config import as_probability
+from ..errors import MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
 
@@ -155,21 +156,14 @@ def confirmed_blocks(peers) -> int:
 @register
 class BlockchainFamily(Algorithm):
     variants = (BITCOIN, ETHEREUM)
-
-    @classmethod
-    def default_params(cls, algorithm_id):
-        return {"variant": algorithm_id,
-                "transactionProbability": 0.05,
-                "mineProbability": 0.025}
+    param_defaults = {"transactionProbability": 0.05, "mineProbability": 0.025}
 
     @classmethod
     def validate(cls, config):
         super().validate(config)
-        for key in ("transactionProbability", "mineProbability"):
-            p = config.algorithm_params.get(key)
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
-                raise ConfigError(f"algorithmParams.{key}",
-                                  f"expected a probability in [0, 1], got {p!r}")
+        for key in cls.param_defaults:
+            as_probability(config.algorithm_params.get(key),
+                           f"algorithmParams.{key}")
 
     def create_node(self, node_id):
         return BlockchainPeer(node_id, self.config.n_nodes,

@@ -6,6 +6,7 @@ initial broadcast to the round the quorum closes at the leader). A new
 instance starts the round after the previous one commits.
 """
 
+from ..config import as_int
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
@@ -139,15 +140,13 @@ class RaftNode(AlgorithmNode):
 @register
 class ConsensusFamily(Algorithm):
     variants = (PBFT, RAFT)
-
-    @classmethod
-    def default_params(cls, algorithm_id):
-        return {"variant": algorithm_id, "leaderId": 0}
+    param_defaults = {"leaderId": 0}
 
     @classmethod
     def validate(cls, config):
         super().validate(config)
-        leader = config.algorithm_params.get("leaderId")
+        leader = as_int(config.algorithm_params.get("leaderId"),
+                        "algorithmParams.leaderId")
         if leader not in config.adjacency:
             raise ConfigError("algorithmParams.leaderId",
                               f"{leader!r} is not a declared node")

@@ -8,6 +8,7 @@ count toward utility; acknowledgements are free.
 
 import math
 
+from ..config import as_int
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
@@ -120,10 +121,7 @@ class SdlReceiver(AlgorithmNode):
 @register
 class DatalinkFamily(Algorithm):
     variants = (ABP, SDL)
-
-    @classmethod
-    def default_params(cls, algorithm_id):
-        return {"variant": algorithm_id, "channelCapacity": 1}
+    param_defaults = {"channelCapacity": 1, "timeoutLimit": None}
 
     @classmethod
     def validate(cls, config):
@@ -134,15 +132,11 @@ class DatalinkFamily(Algorithm):
             raise ConfigError("topology",
                               "data link protocols need exactly two "
                               "mutually connected nodes")
-        limit = config.algorithm_params.get("timeoutLimit")
-        if limit is not None and (isinstance(limit, bool)
-                                  or not isinstance(limit, int) or limit < 1):
-            raise ConfigError("algorithmParams.timeoutLimit",
-                              f"expected an integer >= 1, got {limit!r}")
-        capacity = config.algorithm_params.get("channelCapacity")
-        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-            raise ConfigError("algorithmParams.channelCapacity",
-                              f"expected an integer >= 1, got {capacity!r}")
+        params = config.algorithm_params
+        if params.get("timeoutLimit") is not None:
+            as_int(params["timeoutLimit"], "algorithmParams.timeoutLimit", minimum=1)
+        as_int(params.get("channelCapacity"), "algorithmParams.channelCapacity",
+               minimum=1)
 
     def __init__(self, config, streams):
         super().__init__(config, streams)

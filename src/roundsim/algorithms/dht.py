@@ -11,7 +11,7 @@ the identifier space is fully populated.
 
 import numpy as np
 
-from ..config import MAX_SCHEDULED_QUERIES, check_channel_count
+from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
@@ -100,18 +100,13 @@ class DhtNode(AlgorithmNode):
 @register
 class DhtFamily(Algorithm):
     variants = (CHORD, KADEMLIA)
-
-    @classmethod
-    def default_params(cls, algorithm_id):
-        return {"variant": algorithm_id, "queriesPerRound": 1}
+    param_defaults = {"queriesPerRound": 1}
 
     @classmethod
     def validate(cls, config):
         super().validate(config)
-        rate = config.algorithm_params.get("queriesPerRound")
-        if isinstance(rate, bool) or not isinstance(rate, int) or rate < 0:
-            raise ConfigError("algorithmParams.queriesPerRound",
-                              f"expected an integer >= 0, got {rate!r}")
+        rate = as_int(config.algorithm_params.get("queriesPerRound"),
+                      "algorithmParams.queriesPerRound", minimum=0)
         n = config.n_nodes
         if n < 2:
             raise ConfigError("topology", "a ring needs at least 2 nodes")

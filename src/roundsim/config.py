@@ -67,10 +67,10 @@ class RunConfig:
         return sum(len(v) for v in self.adjacency.values())
 
     def with_(self, **kwargs) -> "RunConfig":
-        """A copy with some fields replaced, validated as parse_obj does."""
-        config = replace(self, **kwargs)
-        _family(config.algorithm).validate(config)
-        return config
+        """A copy with some fields replaced, made by parse_obj from the
+        copy's JSON form, so it is checked and normalized as a loaded
+        config is; an invalid field raises ConfigError."""
+        return parse_obj(replace(self, **kwargs).to_json_obj())
 
     def to_json_obj(self, include_workers: bool = True) -> dict:
         # The log header omits workerCount: it does not change execution,
@@ -96,13 +96,13 @@ class RunConfig:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def _require(obj: dict, key: str):
+def require(obj: dict, key: str):
     if key not in obj:
         raise ConfigError(key, "missing required key")
     return obj[key]
 
 
-def _as_int(value, path: str, minimum=None, maximum=None) -> int:
+def as_int(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -112,16 +112,24 @@ def _as_int(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _as_number(value, path: str) -> float:
+def as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return float(value)
 
 
-def _reject_unknown_keys(obj: dict, path: str, allowed: set) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(path, f"unknown keys {sorted(extra)}")
+def as_probability(value, path: str) -> float:
+    p = as_number(value, path)
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(path, f"must be within [0, 1], got {p}")
+    return p
+
+
+def reject_unknown_keys(obj: dict, prefix: str, allowed) -> None:
+    """Refuse a key of obj outside allowed, at prefix + the first such key."""
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ConfigError(prefix + min(unknown), "unknown key")
 
 
 def check_channel_count(count: int, what: str) -> None:
@@ -137,7 +145,7 @@ def _parse_topology(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("topology", "expected an object")
     if "adjacency" in obj:
-        _reject_unknown_keys(obj, "topology", _TOPOLOGY_KEYS["adjacency"])
+        reject_unknown_keys(obj, "topology.", _TOPOLOGY_KEYS["adjacency"])
         if obj.get("kind") not in (None, "adjacency"):
             raise ConfigError("topology.kind",
                               "must be 'adjacency' when adjacency is given")
@@ -158,7 +166,7 @@ def _parse_topology(obj) -> dict:
             seen = set()
             out = []
             for v in neighbors:
-                v = _as_int(v, f"topology.adjacency.{node}")
+                v = as_int(v, f"topology.adjacency.{node}")
                 if v in seen:
                     raise ConfigError(f"topology.adjacency.{node}",
                                       f"duplicate neighbor {v}")
@@ -176,8 +184,8 @@ def _parse_topology(obj) -> dict:
     if kind not in ("complete", "ring"):
         raise ConfigError("topology.kind",
                           f"expected 'complete', 'ring' or an adjacency object, got {kind!r}")
-    _reject_unknown_keys(obj, "topology", _TOPOLOGY_KEYS[kind])
-    n = _as_int(_require(obj, "nodes"), "topology.nodes", minimum=1)
+    reject_unknown_keys(obj, "topology.", _TOPOLOGY_KEYS[kind])
+    n = as_int(require(obj, "nodes"), "topology.nodes", minimum=1)
     check_channel_count(n * (n - 1) if kind == "complete" else 2 * n,
                         f"a {kind} topology of {n} nodes")
     if kind == "complete":
@@ -194,17 +202,17 @@ def _parse_delay(obj) -> DelayDistribution:
     if not isinstance(kind, str) or kind not in _DELAY_KEYS:
         raise ConfigError("delay.kind",
                           f"expected 'deterministic', 'uniform' or 'poisson', got {kind!r}")
-    _reject_unknown_keys(obj, "delay", _DELAY_KEYS[kind])
+    reject_unknown_keys(obj, "delay.", _DELAY_KEYS[kind])
     if kind == DETERMINISTIC:
         return DelayDistribution.deterministic(
-            _as_int(_require(obj, "value"), "delay.value", minimum=1))
+            as_int(require(obj, "value"), "delay.value", minimum=1))
     if kind == UNIFORM:
-        lo = _as_int(_require(obj, "min"), "delay.min", minimum=1)
-        hi = _as_int(_require(obj, "max"), "delay.max", minimum=1)
+        lo = as_int(require(obj, "min"), "delay.min", minimum=1)
+        hi = as_int(require(obj, "max"), "delay.max", minimum=1)
         if hi < lo:
             raise ConfigError("delay.max", f"max {hi} is below min {lo}")
         return DelayDistribution.uniform(lo, hi)
-    mean = _as_number(_require(obj, "mean"), "delay.mean")
+    mean = as_number(require(obj, "mean"), "delay.mean")
     if not math.isfinite(mean):
         raise ConfigError("delay.mean", f"must be finite, got {mean}")
     if mean <= 0:
@@ -232,27 +240,23 @@ def parse_obj(obj: dict) -> RunConfig:
     """Validate a decoded configuration object into a RunConfig."""
     if not isinstance(obj, dict):
         raise ConfigError("", "configuration root must be an object")
-    unknown = set(obj) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+    reject_unknown_keys(obj, "", _TOP_LEVEL_KEYS)
 
-    algorithm = _require(obj, "algorithm")
+    algorithm = require(obj, "algorithm")
     if not isinstance(algorithm, str):
         raise ConfigError("algorithm", f"expected a string, got {algorithm!r}")
-    adjacency = _parse_topology(_require(obj, "topology"))
+    adjacency = _parse_topology(require(obj, "topology"))
     delay = _parse_delay(obj.get("delay", {"kind": DETERMINISTIC, "value": 1}))
 
-    loss = _as_number(obj.get("lossProbability", 0.0), "lossProbability")
-    if not 0.0 <= loss <= 1.0:
-        raise ConfigError("lossProbability", f"must be within [0, 1], got {loss}")
+    loss = as_probability(obj.get("lossProbability", 0.0), "lossProbability")
 
-    rounds = _as_int(_require(obj, "roundsPerComputation"),
-                     "roundsPerComputation", minimum=1)
-    computations = _as_int(obj.get("computationsPerRun", 1),
-                           "computationsPerRun", minimum=1)
-    seed = _as_int(obj.get("seed", DEFAULT_SEED), "seed",
-                   minimum=0, maximum=2 ** 64 - 1)
-    workers = _as_int(obj.get("workerCount", 1), "workerCount", minimum=1)
+    rounds = as_int(require(obj, "roundsPerComputation"),
+                    "roundsPerComputation", minimum=1)
+    computations = as_int(obj.get("computationsPerRun", 1),
+                          "computationsPerRun", minimum=1)
+    seed = as_int(obj.get("seed", DEFAULT_SEED), "seed",
+                  minimum=0, maximum=2 ** 64 - 1)
+    workers = as_int(obj.get("workerCount", 1), "workerCount", minimum=1)
 
     params = obj.get("algorithmParams", {})
     if not isinstance(params, dict):
@@ -283,12 +287,16 @@ def parse_obj(obj: dict) -> RunConfig:
     return config
 
 
-def load(text: str) -> RunConfig:
+def decode(text: str):
+    """The JSON value in text; malformed JSON is a ConfigError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"malformed JSON: {exc}") from None
-    return parse_obj(obj)
+
+
+def load(text: str) -> RunConfig:
+    return parse_obj(decode(text))
 
 
 def read_text(path) -> str:

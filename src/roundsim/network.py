@@ -158,10 +158,14 @@ class Network:
         self._send_log, self._drop_log, self._deliver_log = (
             None if logger is None else logger.records_for(tag)
             for tag in (NET_SEND, NET_DROP, NET_DELIVER))
-        self.in_flight = 0
         self.total_sent = 0
         self.total_delivered = 0
         self.total_dropped = 0
+
+    @property
+    def in_flight(self) -> int:
+        """Messages staged and not yet delivered."""
+        return self.total_sent - self.total_delivered
 
     def channel(self, sender: int, receiver: int) -> Channel:
         channel = self.channels.get((sender, receiver))
@@ -213,7 +217,6 @@ class Network:
                     send_log.append(_new_tuple(SendRecord, (
                         computation, delivery, sender, receiver, at)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
-            self.in_flight += sent
             self.total_sent += sent
             self.total_dropped += dropped
         return packet
@@ -238,7 +241,6 @@ class Network:
             computation, at = self._logger.computation, self._logger.round
         for dest, packets in by_dest.items():
             count = len(packets)
-            self.in_flight -= count
             self.total_delivered += count
             if count > 1:  # a single packet is in order already
                 packets.sort(key=_by_source)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import config as config_mod
+from .config import as_int, reject_unknown_keys, require
 from .algorithms.blockchain import throughput_series
 from .algorithms.consensus import mean_latency
 from .algorithms.dht import mean_hops
@@ -49,11 +50,6 @@ class Sweep:
     variants: tuple
     metric: str
     metric_params: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {"base": self.base, "axis": self.axis,
-                "points": list(self.points), "variants": list(self.variants),
-                "metric": self.metric, "metricParams": self.metric_params}
 
 
 @dataclass(frozen=True)
@@ -116,26 +112,21 @@ def table_from_json(text: str) -> MetricTable:
 def parse_sweep(obj: dict) -> Sweep:
     if not isinstance(obj, dict):
         raise ConfigError("", "sweep root must be an object")
-    unknown = set(obj) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown sweep key")
-    for key in ("base", "axis", "points", "metric"):
-        if key not in obj:
-            raise ConfigError(key, "missing required key")
-    base = obj["base"]
+    reject_unknown_keys(obj, "", _SWEEP_KEYS)
+    base = require(obj, "base")
     if not isinstance(base, dict):
         raise ConfigError("base", "expected a configuration object")
-    axis = obj["axis"]
+    axis = require(obj, "axis")
     if not isinstance(axis, str) or not axis:
         raise ConfigError("axis", "expected a parameter path")
-    points = obj["points"]
+    points = require(obj, "points")
     if not isinstance(points, list):
         raise ConfigError("points", "expected a list")
     variants = obj.get("variants", [base.get("algorithm")])
     if (not isinstance(variants, list) or not variants
             or any(not isinstance(v, str) for v in variants)):
         raise ConfigError("variants", "expected a non-empty list of names")
-    metric = obj["metric"]
+    metric = require(obj, "metric")
     if metric not in METRICS:
         raise ConfigError("metric",
                           f"expected one of {sorted(METRICS)}, got {metric!r}")
@@ -147,19 +138,14 @@ def parse_sweep(obj: dict) -> Sweep:
     params = obj.get("metricParams", {})
     if not isinstance(params, dict):
         raise ConfigError("metricParams", "expected an object")
+    reject_unknown_keys(params, "metricParams.", param_keys)
     for key, value in params.items():
-        if key not in param_keys:
-            raise ConfigError(f"metricParams.{key}", f"not a parameter of {metric!r}")
-        config_mod._as_int(value, f"metricParams.{key}", minimum=1)
+        as_int(value, f"metricParams.{key}", minimum=1)
     return Sweep(base, axis, tuple(points), tuple(variants), metric, params)
 
 
 def load_sweep(text: str) -> Sweep:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("", f"malformed JSON: {exc}") from None
-    return parse_sweep(obj)
+    return parse_sweep(config_mod.decode(text))
 
 
 def load_sweep_file(path) -> Sweep:
@@ -210,10 +196,13 @@ def benchmark_threads(config, thread_counts) -> list:
     Execution is serial, so the counts only show that workerCount does
     not change the output or the cost of a run.
     """
+    # Every count is checked before the first run.
+    configs = [config.with_(worker_count=workers) for workers in thread_counts]
     results = []
     reference = None
-    for workers in thread_counts:
-        engine = Engine(config.with_(worker_count=workers))
+    for counted in configs:
+        workers = counted.worker_count
+        engine = Engine(counted)
         started = time.perf_counter()
         doc = engine.run()
         elapsed = time.perf_counter() - started

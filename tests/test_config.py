@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from roundsim.config import DEFAULT_SEED, load, parse_obj
@@ -57,6 +60,12 @@ def test_explicit_adjacency_keeps_neighbor_order():
     ({"topology": {"adjacency": {"0": [1, 1], "1": []}}}, "topology"),
     ({"topology": {"adjacency": {"-1": [], "0": []}}}, "topology"),
     ({"logTags": "latency"}, "logTags"),
+    ({"algorithm": "pbft", "algorithmParams": {"leaderId": True}},
+     "algorithmParams.leaderId"),
+    ({"algorithm": "pbft", "algorithmParams": {"leaderId": 1.0}},
+     "algorithmParams.leaderId"),
+    ({"algorithm": "pbft", "algorithmParams": {"leaderID": 3}},
+     "algorithmParams.leaderID"),
 ])
 def test_rejects_bad_values(bad, path_part):
     with pytest.raises(ConfigError) as err:
@@ -115,6 +124,27 @@ def test_with_validates_like_parse_obj():
     eth = config.with_(algorithm="ethereum", algorithm_params=dict(
         config.algorithm_params, variant="ethereum"))
     assert eth == parse_obj(minimal(seed=3, algorithm="ethereum"))
+
+
+@pytest.mark.parametrize("field,value,path", [
+    ("worker_count", 0, "workerCount"),
+    ("loss_probability", 2.0, "lossProbability"),
+    ("rounds_per_computation", 0, "roundsPerComputation"),
+    ("seed", -5, "seed"),
+])
+def test_with_refuses_what_parse_obj_refuses(field, value, path):
+    config = parse_obj(minimal())
+    with pytest.raises(ConfigError) as err:
+        config.with_(**{field: value})
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
+    ids=lambda p: p.name)
+def test_with_equals_parse_obj_of_the_same_document(path):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert parse_obj(obj).with_(seed=12345) == parse_obj(dict(obj, seed=12345))
 
 
 # family-level validation ----------------------------------------------------

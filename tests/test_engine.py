@@ -20,6 +20,7 @@ class _TickFamily(Algorithm):
     """
 
     variants = ("tick",)
+    param_defaults = {"failAt": None}
 
     def create_node(self, node_id):
         return _TickNode()
@@ -178,6 +179,7 @@ class _WakeFamily(Algorithm):
     """
 
     variants = ("wake",)
+    param_defaults = dict.fromkeys(("wake", "send", "keep", "failAt"))
 
     def create_node(self, node_id):
         params = self.params

@@ -244,6 +244,10 @@ THROUGHPUT_SWEEP = ('{"base": {"algorithm": "bitcoin", "topology": {"kind": '
                     '"metric": "throughput_series", '
                     '"metricParams": {"window": %s}}')
 
+PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
+               '"nodes": 4}, "roundsPerComputation": 5, '
+               '"algorithmParams": {%s}}')
+
 
 @pytest.mark.parametrize("command,raw,reason", [
     ("run", b'{"algorithm": "raft", "seed": 1}\xff', "not UTF-8"),
@@ -273,10 +277,17 @@ THROUGHPUT_SWEEP = ('{"base": {"algorithm": "bitcoin", "topology": {"kind": '
      "metricParams.window: expected an integer, got 'x'"),
     ("sweep", (THROUGHPUT_SWEEP % "0").encode(),
      "metricParams.window: must be >= 1, got 0"),
+    ("run", (PBFT_PARAMS % '"leaderId": true').encode(),
+     "algorithmParams.leaderId: expected an integer, got True"),
+    ("run", (PBFT_PARAMS % '"leaderId": 1.0').encode(),
+     "algorithmParams.leaderId: expected an integer, got 1.0"),
+    ("run", (PBFT_PARAMS % '"leaderID": 3').encode(),
+     "algorithmParams.leaderID: unknown key"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
-        "window-not-int", "window-zero"])
+        "window-not-int", "window-zero", "leader-bool", "leader-float",
+        "leader-misspelled"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
