@@ -133,7 +133,7 @@ class DatalinkFamily(Algorithm):
                               "data link protocols need exactly two "
                               "mutually connected nodes")
         params = config.algorithm_params
-        if params.get("timeoutLimit") is not None:
+        if "timeoutLimit" in params:
             as_int(params["timeoutLimit"], "algorithmParams.timeoutLimit", minimum=1)
         as_int(params.get("channelCapacity"), "algorithmParams.channelCapacity",
                minimum=1)

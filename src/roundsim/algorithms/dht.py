@@ -76,11 +76,14 @@ class DhtNode(AlgorithmNode):
             nxt = ring_next_hop(self.id, target, self.n)
             ctx.log(TAG_FORWARDED, {"query": qid, "to": nxt})
         else:
-            nxt, fallback = self._kademlia_next_hop(target)
-            ctx.log(TAG_FORWARDED, {"query": qid, "to": nxt, "fallback": fallback})
+            nxt = self._kademlia_next_hop(target)
+            # "fallback" is always False; it stays so the log bytes do not change.
+            ctx.log(TAG_FORWARDED, {"query": qid, "to": nxt, "fallback": False})
         ctx.unicast(nxt, ("q", qid, target, hops + 1))
 
     def _kademlia_next_hop(self, target):
+        # The shortcut of group `own` shares at least own + 1 bits with the
+        # target, so some peer always improves the prefix.
         own = common_prefix_len(self.id, target, self.bits)
         best, best_len = None, own
         for peer in self.shortcuts:
@@ -88,13 +91,7 @@ class DhtNode(AlgorithmNode):
             if length > best_len or (length == best_len and best is not None
                                      and peer < best):
                 best, best_len = peer, length
-        if best is not None:
-            return best, False
-        # No shortcut improves the prefix; fall back to XOR distance over
-        # everything this node links to. Unreachable on a populated space.
-        candidates = sorted(set(self.shortcuts)
-                            | {(self.id + 1) % self.n, (self.id - 1) % self.n})
-        return min(candidates, key=lambda p: (p ^ target, p)), True
+        return best
 
 
 @register

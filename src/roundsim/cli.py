@@ -5,14 +5,13 @@ failures."""
 import argparse
 import csv
 import io
-import json
 import sys
 
 from . import config as config_mod
 from . import sweep as sweep_mod
 from .engine import Engine
 from .errors import ConfigError, RoundsimError
-from .runlog import serialize
+from .runlog import canonical_json, serialize
 
 
 def _emit(text: str, out) -> None:
@@ -33,14 +32,13 @@ def _doc_to_csv(doc) -> str:
         for rec in doc.records(tag):
             writer.writerow([tag, rec.computation, rec.round,
                              "" if rec.node is None else rec.node,
-                             json.dumps(rec.payload, sort_keys=True,
-                                        separators=(",", ":"))])
+                             canonical_json(rec.payload)])
     return buf.getvalue()
 
 
 def _bench_table(rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"rows": rows}, sort_keys=True, separators=(",", ":"))
+        return canonical_json({"rows": rows})
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["threads", "wallClockSeconds", "messages"])
@@ -116,16 +114,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"sim: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"sim: {exc}", file=sys.stderr)
-        return 2
-    except RoundsimError as exc:
-        print(f"sim: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RoundsimError, OSError) as exc:
         print(f"sim: {exc}", file=sys.stderr)
         return 1
 

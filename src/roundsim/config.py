@@ -12,6 +12,7 @@ from typing import Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
 from .network import DETERMINISTIC, POISSON, UNIFORM, DelayDistribution
+from .runlog import canonical_json
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -93,12 +94,15 @@ class RunConfig:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_obj())
 
 
-def require(obj: dict, key: str):
+def require(obj: dict, path: str):
+    """obj's value at the last key of the dotted path; a missing key is
+    refused at the whole path."""
+    key = path.rpartition(".")[2]
     if key not in obj:
-        raise ConfigError(key, "missing required key")
+        raise ConfigError(path, "missing required key")
     return obj[key]
 
 
@@ -185,7 +189,7 @@ def _parse_topology(obj) -> dict:
         raise ConfigError("topology.kind",
                           f"expected 'complete', 'ring' or an adjacency object, got {kind!r}")
     reject_unknown_keys(obj, "topology.", _TOPOLOGY_KEYS[kind])
-    n = as_int(require(obj, "nodes"), "topology.nodes", minimum=1)
+    n = as_int(require(obj, "topology.nodes"), "topology.nodes", minimum=1)
     check_channel_count(n * (n - 1) if kind == "complete" else 2 * n,
                         f"a {kind} topology of {n} nodes")
     if kind == "complete":
@@ -205,14 +209,14 @@ def _parse_delay(obj) -> DelayDistribution:
     reject_unknown_keys(obj, "delay.", _DELAY_KEYS[kind])
     if kind == DETERMINISTIC:
         return DelayDistribution.deterministic(
-            as_int(require(obj, "value"), "delay.value", minimum=1))
+            as_int(require(obj, "delay.value"), "delay.value", minimum=1))
     if kind == UNIFORM:
-        lo = as_int(require(obj, "min"), "delay.min", minimum=1)
-        hi = as_int(require(obj, "max"), "delay.max", minimum=1)
+        lo = as_int(require(obj, "delay.min"), "delay.min", minimum=1)
+        hi = as_int(require(obj, "delay.max"), "delay.max", minimum=1)
         if hi < lo:
             raise ConfigError("delay.max", f"max {hi} is below min {lo}")
         return DelayDistribution.uniform(lo, hi)
-    mean = as_number(require(obj, "mean"), "delay.mean")
+    mean = as_number(require(obj, "delay.mean"), "delay.mean")
     if not math.isfinite(mean):
         raise ConfigError("delay.mean", f"must be finite, got {mean}")
     if mean <= 0:
@@ -224,6 +228,12 @@ def _parse_delay(obj) -> DelayDistribution:
         # The one-round floor leaves no mass to distribute.
         return DelayDistribution.deterministic(1)
     return DelayDistribution.poisson(mean)
+
+
+def seed_of(obj: dict) -> int:
+    """The checked seed of a decoded configuration object."""
+    return as_int(obj.get("seed", DEFAULT_SEED), "seed",
+                  minimum=0, maximum=2 ** 64 - 1)
 
 
 def _family(algorithm: str):
@@ -254,8 +264,7 @@ def parse_obj(obj: dict) -> RunConfig:
                     "roundsPerComputation", minimum=1)
     computations = as_int(obj.get("computationsPerRun", 1),
                           "computationsPerRun", minimum=1)
-    seed = as_int(obj.get("seed", DEFAULT_SEED), "seed",
-                  minimum=0, maximum=2 ** 64 - 1)
+    seed = seed_of(obj)
     workers = as_int(obj.get("workerCount", 1), "workerCount", minimum=1)
 
     params = obj.get("algorithmParams", {})

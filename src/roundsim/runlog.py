@@ -195,13 +195,14 @@ class LogDocument:
                 del self.data[tag]
 
 
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                          allow_nan=False).encode
+# The encoder of every canonical JSON text: sorted keys, no spaces, finite numbers.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
 
 
 def _render(rec) -> str:
     template = _TEMPLATES.get(type(rec))
-    return _dumps(rec.to_json_obj()) if template is None else template % rec
+    return canonical_json(rec.to_json_obj()) if template is None else template % rec
 
 
 def serialize(doc: LogDocument) -> str:
@@ -211,7 +212,7 @@ def serialize(doc: LogDocument) -> str:
     parts = ['{"data":{']
     for i, tag in enumerate(doc.tags()):
         # The tag is encoded as json encodes a dict key: '"tag":'.
-        parts.append(("," if i else "") + _dumps({tag: 0})[1:-2])
+        parts.append(("," if i else "") + canonical_json({tag: 0})[1:-2])
         records = doc.data[tag]
         kinds = set(map(type, records))
         key = _order_key(kinds)
@@ -219,12 +220,12 @@ def serialize(doc: LogDocument) -> str:
         if not all(map(le, stamps, islice(stamps, 1, None))):
             records = sorted(records, key=key)
         if kinds.isdisjoint(_TEMPLATES):
-            parts.append(_dumps([rec.to_json_obj() for rec in records]))
+            parts.append(canonical_json([rec.to_json_obj() for rec in records]))
         else:
             render = (_TEMPLATES[kinds.pop()].__mod__ if len(kinds) == 1
                       else _render)
             parts += ("[", ",".join(map(render, records)), "]")
-    parts += ('},"meta":', _dumps(dict(doc.meta, version=__version__)), "}")
+    parts += ('},"meta":', canonical_json(dict(doc.meta, version=__version__)), "}")
     return "".join(parts)
 
 

@@ -9,34 +9,30 @@ down to the workload.
 import copy
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import config as config_mod
 from .config import as_int, reject_unknown_keys, require
-from .algorithms.blockchain import throughput_series
-from .algorithms.consensus import mean_latency
-from .algorithms.dht import mean_hops
-from .algorithms.datalink import utility
+from .algorithms.blockchain import BlockchainFamily, throughput_series
+from .algorithms.consensus import ConsensusFamily, mean_latency
+from .algorithms.dht import DhtFamily, mean_hops
+from .algorithms.datalink import DatalinkFamily, utility
 from .engine import Engine
 from .errors import ConfigError, SimulationError
 from .rng import SWEEP, derive_seed
-from .runlog import serialize
+from .runlog import canonical_json, serialize
 
-# metric name -> (reducer over a LogDocument, algorithm ids it applies to,
-#                 metricParams keys it accepts, each an integer >= 1)
+# metric name -> (reducer over a LogDocument, called with the metricParams as
+#                 keywords; algorithm ids it applies to; metricParams keys it
+#                 accepts, each an integer >= 1)
 METRICS = {
-    "throughput_series": (
-        lambda doc, params: throughput_series(doc, params.get("window", 5)),
-        frozenset({"bitcoin", "ethereum"}), ("window",)),
-    "mean_latency": (lambda doc, params: mean_latency(doc),
-                     frozenset({"pbft", "raft"}), ()),
-    "utility": (lambda doc, params: utility(doc),
-                frozenset({"abp", "sdl"}), ()),
-    "mean_hops": (lambda doc, params: mean_hops(doc),
-                  frozenset({"chord", "kademlia"}), ()),
+    "throughput_series": (throughput_series, BlockchainFamily.variants,
+                          ("window",)),
+    "mean_latency": (mean_latency, ConsensusFamily.variants, ()),
+    "utility": (utility, DatalinkFamily.variants, ()),
+    "mean_hops": (mean_hops, DhtFamily.variants, ()),
 }
 
 _SWEEP_KEYS = {"base", "axis", "points", "variants", "metric", "metricParams"}
@@ -78,8 +74,7 @@ class MetricTable:
                 "rows": [row.to_json_obj() for row in self.rows]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        return canonical_json(self.to_json_obj())
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -95,18 +90,6 @@ def _num(value):
     if isinstance(value, float):
         return "%.6g" % value
     return value
-
-
-def table_from_json(text: str) -> MetricTable:
-    obj = json.loads(text)
-    rows = []
-    for raw in obj["rows"]:
-        series = raw.get("series")
-        rows.append(Row(raw["axisValue"], raw["variant"], raw["metricValue"],
-                        raw["sampleCount"],
-                        None if series is None else
-                        tuple((r, v) for r, v in series)))
-    return MetricTable(obj["header"], tuple(rows))
 
 
 def parse_sweep(obj: dict) -> Sweep:
@@ -163,26 +146,33 @@ def _set_axis(doc: dict, axis: str, value) -> None:
 
 
 def point_config(sweep: Sweep, index: int, variant: str):
-    """The fully validated RunConfig for one (point, variant) cell."""
+    """The RunConfig of one (point, variant) cell, built by parse_obj from
+    the base with the axis set to the point, the algorithm and its variant
+    set to variant, and the seed derived from the base's checked seed and
+    the point index. An invalid cell raises ConfigError."""
     doc = copy.deepcopy(sweep.base)
     _set_axis(doc, sweep.axis, sweep.points[index])
     doc["algorithm"] = variant
-    doc.setdefault("algorithmParams", {})["variant"] = variant
-    doc["seed"] = int(derive_seed(doc.get("seed", config_mod.DEFAULT_SEED),
-                                  SWEEP, index))
+    if isinstance(doc.get("algorithmParams"), dict):
+        doc["algorithmParams"]["variant"] = variant
+    doc["seed"] = derive_seed(config_mod.seed_of(doc), SWEEP, index)
     return config_mod.parse_obj(doc)
 
 
 def run_sweep(sweep: Sweep) -> MetricTable:
     reducer = METRICS[sweep.metric][0]
+    cells = [(index, variant) for index in range(len(sweep.points))
+             for variant in sweep.variants]
+    # Every cell is checked before the first run. The checked configs are
+    # not kept, so memory does not grow with the number of cells.
+    for index, variant in cells:
+        point_config(sweep, index, variant)
     rows = []
-    for index, point in enumerate(sweep.points):
-        for variant in sweep.variants:
-            config = point_config(sweep, index, variant)
-            doc = Engine(config).run()
-            value, count, series = reducer(doc, sweep.metric_params)
-            rows.append(Row(point, variant, value, count,
-                            None if series is None else tuple(series)))
+    for index, variant in cells:
+        doc = Engine(point_config(sweep, index, variant)).run()
+        value, count, series = reducer(doc, **sweep.metric_params)
+        rows.append(Row(sweep.points[index], variant, value, count,
+                        None if series is None else tuple(series)))
     header = {"axis": sweep.axis, "metric": sweep.metric,
               "metricParams": sweep.metric_params,
               "variants": list(sweep.variants),

@@ -5,11 +5,10 @@ import pytest
 
 from roundsim.cli import main
 from roundsim.config import parse_obj
-from roundsim.engine import run
+from roundsim.engine import Engine, run
 from roundsim.errors import ConfigError
 from roundsim.sweep import (MetricTable, Row, benchmark_threads, load_sweep,
-                            parse_sweep, point_config, run_sweep,
-                            table_from_json)
+                            parse_sweep, point_config, run_sweep)
 
 
 def sweep_obj(**overrides):
@@ -68,12 +67,18 @@ def test_empty_points_give_an_empty_table():
     assert table.header["metric"] == "mean_latency"
 
 
-def test_table_round_trips_through_json():
-    table = run_sweep(parse_sweep(sweep_obj(points=[1])))
-    clone = table_from_json(table.to_json())
-    assert clone.header == table.header
-    assert clone.rows == table.rows
-    assert clone.to_json() == table.to_json()
+def test_bad_last_point_refused_before_any_run(monkeypatch):
+    built = []
+
+    def counting_engine(config):
+        built.append(config)
+        return Engine(config)
+
+    monkeypatch.setattr("roundsim.sweep.Engine", counting_engine)
+    with pytest.raises(ConfigError) as err:
+        run_sweep(parse_sweep(sweep_obj(points=[1, 0])))
+    assert err.value.path == "delay.value"
+    assert built == []
 
 
 def test_table_csv_shape():
@@ -94,7 +99,6 @@ def test_series_kept_in_json_not_csv():
     obj = json.loads(table.to_json())
     assert obj["rows"][0]["series"] == [[4, 0.5], [5, 0.75]]
     assert "series" not in table.to_csv()
-    assert table_from_json(table.to_json()).rows[0].series == ((4, 0.5), (5, 0.75))
 
 
 @pytest.mark.parametrize("patch,path_part", [
@@ -244,6 +248,12 @@ THROUGHPUT_SWEEP = ('{"base": {"algorithm": "bitcoin", "topology": {"kind": '
                     '"metric": "throughput_series", '
                     '"metricParams": {"window": %s}}')
 
+DELAY_SWEEP = ('{"base": {"algorithm": "raft", "topology": {"kind": '
+               '"complete", "nodes": 3}, "roundsPerComputation": 5, '
+               '"delay": {"kind": "deterministic", "value": 1}, %s}, '
+               '"axis": "delay.value", "points": [1], '
+               '"metric": "mean_latency"}')
+
 PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
                '"nodes": 4}, "roundsPerComputation": 5, '
                '"algorithmParams": {%s}}')
@@ -283,11 +293,33 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
      "algorithmParams.leaderId: expected an integer, got 1.0"),
     ("run", (PBFT_PARAMS % '"leaderID": 3').encode(),
      "algorithmParams.leaderID: unknown key"),
+    ("sweep", (DELAY_SWEEP % '"seed": "x"').encode(),
+     "seed: expected an integer, got 'x'"),
+    ("sweep", (DELAY_SWEEP % '"seed": -1').encode(),
+     "seed: must be >= 0, got -1"),
+    ("sweep", (DELAY_SWEEP % '"seed": 18446744073709551621').encode(),
+     "seed: must be <= 18446744073709551615, got 18446744073709551621"),
+    ("sweep", (DELAY_SWEEP % '"algorithmParams": []').encode(),
+     "algorithmParams: expected an object"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "ring"}}',
+     "topology.nodes: missing required key"),
+    ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 3}, '
+            b'"delay": {"kind": "uniform", "min": 1}}',
+     "delay.max: missing required key"),
+    ("run", b'{"algorithm": "abp", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 2}, '
+            b'"algorithmParams": {"timeoutLimit": null}}',
+     "algorithmParams.timeoutLimit: expected an integer, got None"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
         "window-not-int", "window-zero", "leader-bool", "leader-float",
-        "leader-misspelled"])
+        "leader-misspelled", "sweep-seed-not-int", "sweep-seed-negative",
+        "sweep-seed-above-64-bits", "sweep-params-not-object",
+        "ring-without-nodes", "uniform-without-max",
+        "timeout-limit-null"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
