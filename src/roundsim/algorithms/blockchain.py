@@ -54,18 +54,13 @@ class BlockchainPeer(AlgorithmNode):
         self.variant = variant
         self.tx_probability = tx_probability
         self.mine_probability = mine_probability
-        self.known = {}          # block id -> Block
-        self.childless = set()   # block ids with no known child
+        self.known = {GENESIS_ID: make_genesis()}  # block id -> Block
+        self.childless = {GENESIS_ID}  # block ids with no known child
         self.best_len = 0        # max chain length over known blocks
         self.best_tip = GENESIS_ID
         self.pending = {}        # tx id -> None, FIFO via insertion order
         self.seen_tx = set()     # submitted or mined transaction ids
         self.waiting = {}        # missing parent id -> [blocks waiting on it]
-
-    def initialize(self, ctx, params):
-        genesis = make_genesis()
-        self.known[GENESIS_ID] = genesis
-        self.childless.add(GENESIS_ID)
 
     def perform_computation(self, ctx):
         while ctx.in_stream:

@@ -72,9 +72,6 @@ class Engine:
             node = nodes[nid] = algo.create_node(nid)
             members.append((nid, node, ctx))
 
-        logger.set_position(computation, 0)
-        for _, node, ctx in members:
-            node.initialize(ctx, config.algorithm_params)
         schedule = _wake_schedule(members)
         if schedule is not None:
             always, due = schedule

@@ -15,9 +15,11 @@ delivery is one lookup per round and idle channels cost nothing.
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
 `RunLogger` once, and appends `SendRecord`, `DropRecord` and `DeliverRecord`
-tuples to it, stamped with the logger's position. No dict and no
-`LogRecord` is built per message; `runlog.serialize` renders the tuples
-through their templates.
+tuples to it. Each is stamped with the computation of the `StreamFactory`
+the network is built with and the round the call is given (`send_round`
+or `round_`); the fabric never reads the logger's position. No dict and
+no `LogRecord` is built per message; `runlog.serialize` renders the
+tuples through their templates.
 """
 
 from collections import defaultdict
@@ -152,12 +154,14 @@ class Network:
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
                              streams=streams, fifo=fifo)
         self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
-        self._logger = logger
         # Fabric tags are resolved once here, never per message: each is
         # that tag's record list, or None when the tag is off.
         self._send_log, self._drop_log, self._deliver_log = (
             None if logger is None else logger.records_for(tag)
             for tag in (NET_SEND, NET_DROP, NET_DELIVER))
+        # The computation every trace record is stamped with; a network
+        # without a logger may have no streams.
+        self._computation = None if logger is None else streams.computation
         self.total_sent = 0
         self.total_delivered = 0
         self.total_dropped = 0
@@ -182,10 +186,9 @@ class Network:
         A channel that never draws delivers exactly `value` rounds later;
         every other channel goes through `Channel.make_packet`.
         """
-        channels, buckets, log = self.channels, self._buckets, self._logger
+        channels, buckets = self.channels, self._buckets
         send_log, drop_log = self._send_log, self._drop_log
-        if log is not None:
-            computation, at = log.computation, log.round
+        computation = self._computation
         value = self._delay.value
         packet = None
         sent = dropped = 0
@@ -203,7 +206,7 @@ class Network:
                         dropped += 1
                         if drop_log is not None:
                             drop_log.append(_new_tuple(DropRecord, (
-                                computation, sender, receiver, at)))
+                                computation, sender, receiver, send_round)))
                         continue
                     delivery = packet[4]
                 by_dest = buckets[delivery]
@@ -215,7 +218,7 @@ class Network:
                 sent += 1
                 if send_log is not None:
                     send_log.append(_new_tuple(SendRecord, (
-                        computation, delivery, sender, receiver, at)))
+                        computation, delivery, sender, receiver, send_round)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
             self.total_sent += sent
             self.total_dropped += dropped
@@ -236,9 +239,7 @@ class Network:
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:
             return {}
-        deliver_log = self._deliver_log
-        if deliver_log is not None:
-            computation, at = self._logger.computation, self._logger.round
+        deliver_log, computation = self._deliver_log, self._computation
         for dest, packets in by_dest.items():
             count = len(packets)
             self.total_delivered += count
@@ -246,5 +247,5 @@ class Network:
                 packets.sort(key=_by_source)
             if deliver_log is not None:
                 deliver_log.extend([_new_tuple(DeliverRecord, (
-                    computation, p[0], p[2], dest, at)) for p in packets])
+                    computation, p[0], p[2], dest, round_)) for p in packets])
         return by_dest

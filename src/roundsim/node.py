@@ -1,11 +1,14 @@
 """Node-facing simulation API.
 
-A NodeContext is the only handle an algorithm gets: identity, neighbors,
-the inbound packet stream, staged sends, the current round, a private
-random stream and a log handle. Each context is owned exclusively by its
-node's compute hook; payloads placed on the wire are shared by reference
-and must be treated as immutable. Records logged through a context go
-straight into the run log, stamped with the engine's current position.
+A protocol node is an AlgorithmNode, complete when its family's
+`create_node` returns it. A NodeContext is the only handle the node's
+hook gets: identity, neighbors, the inbound packet stream (drained with
+`while ctx.in_stream: ctx.pop_in_stream()`), staged sends, the current
+round, a private random stream and a log handle. Each context is owned
+exclusively by its node's compute hook; payloads placed on the wire are
+shared by reference and must be treated as immutable. Records logged
+through a context go straight into the run log, stamped with the
+engine's current position.
 """
 
 from collections import deque
@@ -54,9 +57,6 @@ class NodeContext:
                 f"{sorted(self._neighbor_ids)}")
         self.out_buffer.append((nid, payload))
 
-    def in_stream_empty(self) -> bool:
-        return not self.in_stream
-
     def pop_in_stream(self):
         """Remove and return the oldest received packet."""
         if not self.in_stream:
@@ -71,6 +71,8 @@ class NodeContext:
 class AlgorithmNode:
     """Behavior hooks a protocol implements for one node.
 
+    The family's `create_node` builds the node with all the state it
+    needs, parameters included; the engine adds nothing after that.
     perform_computation runs at most once per node per round, during the
     compute phase, with exclusive access to the context. When it runs is
     set by `wake_rounds`:
@@ -86,9 +88,6 @@ class AlgorithmNode:
     """
 
     wake_rounds = None
-
-    def initialize(self, ctx: NodeContext, params: dict) -> None:
-        pass
 
     def perform_computation(self, ctx: NodeContext) -> None:
         raise NotImplementedError

@@ -105,10 +105,14 @@ def parse_sweep(obj: dict) -> Sweep:
     points = require(obj, "points")
     if not isinstance(points, list):
         raise ConfigError("points", "expected a list")
-    variants = obj.get("variants", [base.get("algorithm")])
+    variants = (obj["variants"] if "variants" in obj
+                else [require(base, "base.algorithm")])
     if (not isinstance(variants, list) or not variants
             or any(not isinstance(v, str) for v in variants)):
         raise ConfigError("variants", "expected a non-empty list of names")
+    for i, v in enumerate(variants):
+        if v in variants[:i]:
+            raise ConfigError("variants", f"{v!r} is listed more than once")
     metric = require(obj, "metric")
     if metric not in METRICS:
         raise ConfigError("metric",

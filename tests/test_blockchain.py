@@ -6,8 +6,7 @@ from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
 from roundsim.algorithms.blockchain import (
-    GENESIS_ID, Block, BlockchainPeer, confirmed_blocks, make_genesis,
-    throughput_series)
+    GENESIS_ID, Block, BlockchainPeer, confirmed_blocks, throughput_series)
 from roundsim.runlog import LogDocument, LogRecord
 
 
@@ -19,10 +18,7 @@ def chain_config(**overrides):
 
 
 def make_peer(variant="bitcoin", node_id=0, n=4):
-    peer = BlockchainPeer(node_id, n, variant, 0.05, 0.025)
-    peer.known[GENESIS_ID] = make_genesis()
-    peer.childless.add(GENESIS_ID)
-    return peer
+    return BlockchainPeer(node_id, n, variant, 0.05, 0.025)
 
 
 def ancestors(known, parents):
@@ -44,6 +40,17 @@ def block(peer, block_id, parents, tx=0):
 
 
 # unit-level ------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["bitcoin", "ethereum"])
+def test_new_peer_knows_genesis(variant):
+    peer = BlockchainPeer(3, 4, variant, 0.05, 0.025)
+    assert list(peer.known) == [GENESIS_ID]
+    genesis = peer.known[GENESIS_ID]
+    assert (genesis.parents, genesis.length) == ((), 0)
+    assert peer.childless == {GENESIS_ID}
+    assert (peer.best_len, peer.best_tip) == (0, GENESIS_ID)
+    mined = peer._mine(tx=7, round_=2)
+    assert (mined.parents, mined.length) == ((GENESIS_ID,), 1)
 
 def test_no_mining_no_confirmations():
     doc = run(chain_config(algorithmParams={"mineProbability": 0.0},
@@ -179,8 +186,6 @@ def test_parent_index_ends_where_the_fixpoint_loop_does(trial):
     indexed = make_peer("ethereum")
     chain = make_peer("bitcoin")
     reference = FixpointPeer(0, 4, "ethereum", 0.05, 0.025)
-    reference.known[GENESIS_ID] = make_genesis()
-    reference.childless.add(GENESIS_ID)
     for peer in (indexed, reference):
         for tx in range(40, -1, -1):  # pending in an order unlike tx ids
             peer.pending[tx] = None

@@ -23,20 +23,20 @@ class _TickFamily(Algorithm):
     param_defaults = {"failAt": None}
 
     def create_node(self, node_id):
-        return _TickNode()
+        return _TickNode(self.params.get("failAt"))
 
     def finalize(self, nodes, logger):
         logger.append("done", {"totals": [n.total for _, n in sorted(nodes.items())]})
 
 
 class _TickNode(AlgorithmNode):
-    def initialize(self, ctx, params):
+    def __init__(self, fail_at):
         self.total = 0
-        self.fail_at = params.get("failAt")  # (computation-parity trick below)
+        self.fail_at = fail_at  # [node id, round] whose compute raises
 
     def perform_computation(self, ctx):
         received = 0
-        while not ctx.in_stream_empty():
+        while ctx.in_stream:
             ctx.pop_in_stream()
             received += 1
         self.total += 1

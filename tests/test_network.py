@@ -328,3 +328,36 @@ def test_fabric_records_read_as_stamped_payloads():
     doc.payloads(NET_SEND)[0]["to"] = -1
     assert doc.records(NET_SEND)[0].payload == expected[NET_SEND][0][3]
     assert serialize(doc) == text
+
+
+def test_fabric_stamps_its_computation_and_the_given_round():
+    # The logger stays at (0, 0): the stamps come from the network's own
+    # StreamFactory and from the round each call is given.
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    net = Network({0: (1,), 1: (0,)}, DelayDistribution.uniform(1, 3), 0.5,
+                  StreamFactory(12, 3), logger=logger)
+    sends = drops = 0
+    for round_ in range(5, 25):
+        net.collect_deliverable(round_)
+        for _ in range(3):
+            if net.enqueue(0, 1, None, round_) is None:
+                drops += 1
+            else:
+                sends += 1
+    for round_ in range(25, 30):
+        net.collect_deliverable(round_)
+    assert (logger.computation, logger.round) == (0, 0)
+    doc = logger.document
+    send, drop, deliver = (doc.records(tag)
+                           for tag in (NET_SEND, NET_DROP, NET_DELIVER))
+    assert (len(send), len(drop), len(deliver)) == (sends, drops, sends)
+    assert sends and drops
+    assert {r.computation for r in send + drop + deliver} == {3}
+    assert sorted(r.round for r in send + drop) == [
+        round_ for round_ in range(5, 25) for _ in range(3)]
+    for r in send:
+        assert r.round + 1 <= r.payload["deliveryRound"] <= r.round + 3
+    for r in deliver:
+        assert r.round > r.payload["sentRound"]
+    assert sorted((r.payload["sentRound"], r.round) for r in deliver) == \
+        sorted((r.round, r.payload["deliveryRound"]) for r in send)

@@ -49,7 +49,7 @@ def test_unicast_stages_the_neighbor_id():
 
 def test_pop_on_empty_stream_raises():
     ctx = make_ctx()
-    assert ctx.in_stream_empty()
+    assert not ctx.in_stream
     with pytest.raises(SimulationError):
         ctx.pop_in_stream()
 
@@ -58,7 +58,7 @@ def test_in_stream_drains_fifo():
     ctx = make_ctx()
     ctx.in_stream.extend(["p1", "p2", "p3"])
     assert [ctx.pop_in_stream() for _ in range(3)] == ["p1", "p2", "p3"]
-    assert ctx.in_stream_empty()
+    assert not ctx.in_stream
 
 
 def test_log_respects_tag_filter():
@@ -86,7 +86,7 @@ class _ProbeFamily(Algorithm):
 
 class _ProbeNode(AlgorithmNode):
     def perform_computation(self, ctx: NodeContext) -> None:
-        while not ctx.in_stream_empty():
+        while ctx.in_stream:
             packet = ctx.pop_in_stream()
             ctx.log("got", {"from": packet.source, "value": packet.payload,
                             "sentAt": packet.send_round})
@@ -132,7 +132,7 @@ def test_unread_packets_survive_to_the_next_round():
         def perform_computation(self, ctx):
             if ctx.id == 0 and ctx.round < 3:
                 ctx.unicast(1, ctx.round)
-            elif ctx.id == 1 and not ctx.in_stream_empty():
+            elif ctx.id == 1 and ctx.in_stream:
                 ctx.log("seen", ctx.pop_in_stream().payload)
 
     config = parse_obj({"algorithm": "lazy-probe", "topology": {"adjacency": {"0": [1], "1": [0]}},

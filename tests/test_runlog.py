@@ -238,7 +238,7 @@ class _FabricTagLoggerFamily(Algorithm):
 
 class _FabricTagLogger(AlgorithmNode):
     def perform_computation(self, ctx):
-        while not ctx.in_stream_empty():
+        while ctx.in_stream:
             ctx.pop_in_stream()
         if ctx.id == 1:
             ctx.log(NET_SEND, {"from": 1.5, "note": "x"})

@@ -312,6 +312,13 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
             b'"topology": {"kind": "complete", "nodes": 2}, '
             b'"algorithmParams": {"timeoutLimit": null}}',
      "algorithmParams.timeoutLimit: expected an integer, got None"),
+    ("sweep", b'{"base": {"topology": {"kind": "complete", "nodes": 3}, '
+              b'"roundsPerComputation": 5}, "axis": "seed", "points": [1], '
+              b'"metric": "mean_latency"}',
+     "sim: base.algorithm: missing required key"),
+    ("sweep", (DELAY_SWEEP % '"seed": 1').encode().replace(
+        b'"axis"', b'"variants": ["raft", "pbft", "raft"], "axis"'),
+     "sim: variants: 'raft' is listed more than once"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -319,7 +326,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "leader-misspelled", "sweep-seed-not-int", "sweep-seed-negative",
         "sweep-seed-above-64-bits", "sweep-params-not-object",
         "ring-without-nodes", "uniform-without-max",
-        "timeout-limit-null"])
+        "timeout-limit-null", "sweep-without-algorithm",
+        "sweep-variant-repeated"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
