@@ -63,8 +63,8 @@ class BlockchainPeer(AlgorithmNode):
         self.waiting = {}        # missing parent id -> [blocks waiting on it]
 
     def perform_computation(self, ctx):
-        while ctx.in_stream:
-            payload = ctx.pop_in_stream().payload
+        for packet in ctx.in_stream:
+            payload = packet.payload
             if payload[0] == "tx":
                 self._accept_tx(payload[1])
             else:

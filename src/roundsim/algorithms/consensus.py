@@ -45,8 +45,7 @@ class PbftNode(AlgorithmNode):
 
     def perform_computation(self, ctx):
         round_ = ctx.round
-        while ctx.in_stream:
-            packet = ctx.pop_in_stream()
+        for packet in ctx.in_stream:
             kind, seq, value = packet.payload
             if kind == "pp":
                 self._note_value(ctx, seq, value)
@@ -112,8 +111,7 @@ class RaftNode(AlgorithmNode):
 
     def perform_computation(self, ctx):
         round_ = ctx.round
-        while ctx.in_stream:
-            packet = ctx.pop_in_stream()
+        for packet in ctx.in_stream:
             kind, seq = packet.payload[0], packet.payload[1]
             if kind == "rq":
                 ctx.unicast(self.leader, ("ak", seq))

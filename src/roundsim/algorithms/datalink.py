@@ -33,9 +33,8 @@ class AbpSender(AlgorithmNode):
 
     def perform_computation(self, ctx):
         acked = False
-        while ctx.in_stream:
-            payload = ctx.pop_in_stream().payload
-            if payload[1] == self.bit:
+        for packet in ctx.in_stream:
+            if packet.payload[1] == self.bit:
                 acked = True
         if not self.started:
             self.started = True
@@ -60,8 +59,8 @@ class AbpReceiver(AlgorithmNode):
         self.delivered = 0
 
     def perform_computation(self, ctx):
-        while ctx.in_stream:
-            _, bit, data = ctx.pop_in_stream().payload
+        for packet in ctx.in_stream:
+            _, bit, data = packet.payload
             if bit == self.expected:
                 self.delivered += 1
                 self.expected ^= 1
@@ -81,10 +80,10 @@ class SdlSender(AlgorithmNode):
 
     def perform_computation(self, ctx):
         best_ack = -1
-        while ctx.in_stream:
-            payload = ctx.pop_in_stream().payload
-            if payload[1] > best_ack:
-                best_ack = payload[1]
+        for packet in ctx.in_stream:
+            seq = packet.payload[1]
+            if seq > best_ack:
+                best_ack = seq
         if not self.started:
             self.started = True
         elif best_ack >= self.seq:
@@ -109,8 +108,8 @@ class SdlReceiver(AlgorithmNode):
         self.delivered = 0
 
     def perform_computation(self, ctx):
-        while ctx.in_stream:
-            _, seq, data = ctx.pop_in_stream().payload
+        for packet in ctx.in_stream:
+            _, seq, data = packet.payload
             if seq == self.expected:
                 self.delivered += 1
                 self.expected = seq + 1

@@ -62,8 +62,8 @@ class DhtNode(AlgorithmNode):
         self.wake_rounds = schedule
 
     def perform_computation(self, ctx):
-        while ctx.in_stream:
-            _, qid, target, hops = ctx.pop_in_stream().payload
+        for packet in ctx.in_stream:
+            _, qid, target, hops = packet.payload
             self._handle(ctx, qid, target, hops)
         for qid, target in self.schedule.get(ctx.round, ()):
             self._handle(ctx, qid, target, 0)

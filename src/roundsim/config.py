@@ -236,6 +236,14 @@ def seed_of(obj: dict) -> int:
                   minimum=0, maximum=2 ** 64 - 1)
 
 
+def algorithm_of(obj: dict, path: str = "algorithm") -> str:
+    """The checked algorithm id of a decoded object, at the dotted path."""
+    algorithm = require(obj, path)
+    if not isinstance(algorithm, str):
+        raise ConfigError(path, f"expected a string, got {algorithm!r}")
+    return algorithm
+
+
 def _family(algorithm: str):
     """The registered family serving an algorithm id."""
     from .algorithms import get_algorithm  # deferred: algorithms import node API
@@ -252,9 +260,7 @@ def parse_obj(obj: dict) -> RunConfig:
         raise ConfigError("", "configuration root must be an object")
     reject_unknown_keys(obj, "", _TOP_LEVEL_KEYS)
 
-    algorithm = require(obj, "algorithm")
-    if not isinstance(algorithm, str):
-        raise ConfigError("algorithm", f"expected a string, got {algorithm!r}")
+    algorithm = algorithm_of(obj)
     adjacency = _parse_topology(require(obj, "topology"))
     delay = _parse_delay(obj.get("delay", {"kind": DETERMINISTIC, "value": 1}))
 

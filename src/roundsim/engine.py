@@ -1,18 +1,17 @@
 """Round-driven execution core.
 
-Each round is three strict phases: receive (drain arrivals into node
-inboxes), compute (every awake node acts once, in ascending id order),
-send (stage the awake nodes' outboxes onto channels in ascending sender
-order, one `Network.send` call per sender with a non-empty out-buffer). A
-channel that never draws delivers exactly its delay `value` rounds later,
-with no FIFO clamp. Execution is serial: workerCount is accepted and
-validated but does not change how a run executes, so the log is the same
-for any value of it.
+Each round is three strict phases: receive (collect the round's
+arrivals), compute (every awake node acts once, in ascending id order,
+with its arrivals as its in-stream), send (stage the awake nodes'
+outboxes onto channels in ascending sender order, one `Network.send`
+call per sender with a non-empty out-buffer). A channel that never draws
+delivers exactly its delay `value` rounds later, with no FIFO clamp.
+Execution is serial: workerCount is accepted and validated but does not
+change how a run executes, so the log is the same for any value of it.
 
 Wake contract: a node whose `wake_rounds` is None is awake every round. A
 node that sets it to a container of round numbers is awake in those
-rounds, in any round something arrives for it, and in the round after one
-it ended with packets still in its in-stream. A node opts in only if,
+rounds and in any round something arrives for it. A node opts in only if,
 when it is not awake, its compute hook would draw nothing, log nothing
 and send nothing; skipping it then leaves the log as it was. When no node
 opts in, every node is awake every round.
@@ -76,34 +75,29 @@ class Engine:
         if schedule is not None:
             always, due = schedule
             by_id = {member[0]: member for member in members}
-            pending = ()  # awake nodes that left packets in their in-stream
 
         for round_ in range(config.rounds_per_computation):
             logger.set_position(computation, round_)
 
-            # Receive and compute: everything due this round lands in a
-            # node's inbox right before it acts.
+            # Receive and compute: a node's in-stream is the list of
+            # packets due to it this round, set right before it acts.
             arrivals = network.collect_deliverable(round_)
             if schedule is None:
                 awake = members
             else:
                 ids = set(always)
-                ids.update(due.get(round_, ()), arrivals, pending)
+                ids.update(due.get(round_, ()), arrivals)
                 awake = [by_id[nid] for nid in sorted(ids)]
             self.stats["computed"] += len(awake)
             fault = None
             for nid, node, ctx in awake:
                 ctx.round = round_
-                packets = arrivals.get(nid)
-                if packets:
-                    ctx.in_stream.extend(packets)
+                ctx.in_stream = arrivals.get(nid, ())
                 try:
                     node.perform_computation(ctx)
                 except Exception as exc:  # node faults abort the computation
                     if fault is None:
                         fault = (nid, exc)
-            if schedule is not None:
-                pending = [nid for nid, _, ctx in awake if ctx.in_stream]
             if fault is not None:
                 nid, exc = fault
                 logger.append(ERROR_TAG, {
@@ -115,7 +109,9 @@ class Engine:
 
             # Send: each out-buffer enters the fabric in one call, in
             # ascending sender order; a node that did not act sends nothing.
+            # Dropping the in-stream here frees an idle node's last list.
             for nid, _, ctx in awake:
+                ctx.in_stream = ()
                 out = ctx.out_buffer
                 if out:
                     network.send(nid, out, round_)

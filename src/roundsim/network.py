@@ -225,7 +225,9 @@ class Network:
         return packet
 
     def enqueue(self, sender: int, receiver: int, payload, send_round: int) -> Optional[Packet]:
-        """Stage one message; its packet, or None if it was lost."""
+        """Stage one message; its packet, or None if it was lost. Kept
+        because perfbench's tracer and its tests name it; the engine calls
+        `send`."""
         return self.send(sender, ((receiver, payload),), send_round)
 
     def collect_deliverable(self, round_: int) -> dict:

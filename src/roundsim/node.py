@@ -2,16 +2,14 @@
 
 A protocol node is an AlgorithmNode, complete when its family's
 `create_node` returns it. A NodeContext is the only handle the node's
-hook gets: identity, neighbors, the inbound packet stream (drained with
-`while ctx.in_stream: ctx.pop_in_stream()`), staged sends, the current
-round, a private random stream and a log handle. Each context is owned
-exclusively by its node's compute hook; payloads placed on the wire are
-shared by reference and must be treated as immutable. Records logged
-through a context go straight into the run log, stamped with the
-engine's current position.
+hook gets: identity, neighbors, the in-stream (this round's arrivals,
+read with `for packet in ctx.in_stream:` and valid only during the call),
+staged sends, the current round, a private random stream and a log
+handle. Each context is owned exclusively by its node's compute hook;
+payloads placed on the wire are shared by reference and must be treated
+as immutable. Records logged through a context go straight into the run
+log, stamped with the engine's current position.
 """
-
-from collections import deque
 
 from .errors import SimulationError
 
@@ -24,7 +22,7 @@ class NodeContext:
         self.id = node_id
         self.neighbors = tuple(neighbors)
         self._neighbor_ids = {nid: nid for nid in neighbors}
-        self.in_stream = deque()
+        self.in_stream = ()
         self.out_buffer = []
         self.round = 0
         self._logger = logger
@@ -57,12 +55,6 @@ class NodeContext:
                 f"{sorted(self._neighbor_ids)}")
         self.out_buffer.append((nid, payload))
 
-    def pop_in_stream(self):
-        """Remove and return the oldest received packet."""
-        if not self.in_stream:
-            raise SimulationError(f"node {self.id}: pop on empty in-stream")
-        return self.in_stream.popleft()
-
     def log(self, tag: str, payload) -> None:
         """Append a record for this node at the current (computation, round)."""
         self._logger.append(tag, payload, node=self.id)
@@ -79,12 +71,13 @@ class AlgorithmNode:
 
     - None (the default): every round.
     - A container of round numbers (a class or instance attribute, fixed
-      before round 0): in those rounds, in every round something arrives
-      for the node, and in the round after one it ended with packets left
-      in its in-stream.
+      before round 0): in those rounds, and in every round something
+      arrives for the node.
 
     Opt in only if a round the node is not awake in is a round its hook
-    would draw nothing, log nothing and send nothing.
+    would draw nothing, log nothing and send nothing. The in-stream holds
+    only this round's arrivals, so a node that defers work keeps its own
+    backlog and leaves `wake_rounds` at None.
     """
 
     wake_rounds = None

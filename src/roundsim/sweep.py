@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import config as config_mod
-from .config import as_int, reject_unknown_keys, require
+from .config import algorithm_of, as_int, reject_unknown_keys, require
 from .algorithms.blockchain import BlockchainFamily, throughput_series
 from .algorithms.consensus import ConsensusFamily, mean_latency
 from .algorithms.dht import DhtFamily, mean_hops
@@ -89,6 +89,8 @@ class MetricTable:
 def _num(value):
     if isinstance(value, float):
         return "%.6g" % value
+    if isinstance(value, (dict, list)):
+        return canonical_json(value)
     return value
 
 
@@ -102,11 +104,14 @@ def parse_sweep(obj: dict) -> Sweep:
     axis = require(obj, "axis")
     if not isinstance(axis, str) or not axis:
         raise ConfigError("axis", "expected a parameter path")
+    if axis in ("algorithm", "algorithmParams.variant"):
+        raise ConfigError("axis", f"every cell sets {axis!r} to its variant; "
+                                  "list the values in variants instead")
     points = require(obj, "points")
     if not isinstance(points, list):
         raise ConfigError("points", "expected a list")
     variants = (obj["variants"] if "variants" in obj
-                else [require(base, "base.algorithm")])
+                else [algorithm_of(base, "base.algorithm")])
     if (not isinstance(variants, list) or not variants
             or any(not isinstance(v, str) for v in variants)):
         raise ConfigError("variants", "expected a non-empty list of names")

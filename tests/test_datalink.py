@@ -97,8 +97,9 @@ def packet(payload):
 
 def step(node, ctx, round_, inbox=()):
     ctx.round = round_
-    ctx.in_stream.extend(packet(p) for p in inbox)
+    ctx.in_stream = [packet(p) for p in inbox]
     node.perform_computation(ctx)
+    ctx.in_stream = ()
     out, ctx.out_buffer = ctx.out_buffer, []
     return [payload for _, payload in out]
 

@@ -35,10 +35,7 @@ class _TickNode(AlgorithmNode):
         self.fail_at = fail_at  # [node id, round] whose compute raises
 
     def perform_computation(self, ctx):
-        received = 0
-        while ctx.in_stream:
-            ctx.pop_in_stream()
-            received += 1
+        received = len(ctx.in_stream)
         self.total += 1
         ctx.log("tick", {"count": self.total, "received": received})
         if self.fail_at is not None and [ctx.id, ctx.round] == self.fail_at:
@@ -174,7 +171,7 @@ class _WakeFamily(Algorithm):
 
     - wake: {"id": [rounds]} opts a node in; unlisted nodes are always awake;
     - send: [[round, source, destination], ...] one unicast each;
-    - keep: ids that pop at most one packet per call;
+    - keep: ids that read at most one packet per call;
     - failAt: [id, round] raises there.
     """
 
@@ -209,8 +206,10 @@ class _WakeNode(AlgorithmNode):
     def perform_computation(self, ctx):
         CALLS.append((ctx.round, ctx.id))
         got = []
-        while ctx.in_stream and not (self.keep and got):
-            got.append(ctx.pop_in_stream().payload)
+        for packet in ctx.in_stream:
+            got.append(packet.payload)
+            if self.keep:  # reads only the first packet
+                break
         sends = self.sends.get(ctx.round, ())
         if got or sends or ctx.round in self.scheduled:
             ctx.log("acted", {"got": got})
@@ -278,14 +277,14 @@ def test_awake_nodes_run_in_ascending_id_order():
                         7: [1, 4]}
 
 
-def test_node_that_leaves_packets_runs_again_next_round():
+def test_node_that_leaves_packets_is_not_called_next_round():
     # Node 2 reads one packet per call; three arrive for it in round 1.
     config = wake_config(wake={"2": []}, keep=[2],
                          send=[[0, 0, 2], [0, 1, 2], [0, 3, 2]])
     _, doc, rounds = calls_of(config)
-    assert rounds[2] == [1, 2, 3]
+    assert rounds[2] == [1]
     got = [(r.round, r.payload["got"]) for r in doc.records("acted") if r.node == 2]
-    assert got == [(1, [[0, 0]]), (2, [[0, 1]]), (3, [[0, 3]])]
+    assert got == [(1, [[0, 0]])]
 
 
 def test_fault_in_an_opted_in_node_aborts_as_when_always_awake(monkeypatch):

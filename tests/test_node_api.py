@@ -47,20 +47,6 @@ def test_unicast_stages_the_neighbor_id():
     assert [type(dest) for dest, _ in ctx.out_buffer] == [int, int]
 
 
-def test_pop_on_empty_stream_raises():
-    ctx = make_ctx()
-    assert not ctx.in_stream
-    with pytest.raises(SimulationError):
-        ctx.pop_in_stream()
-
-
-def test_in_stream_drains_fifo():
-    ctx = make_ctx()
-    ctx.in_stream.extend(["p1", "p2", "p3"])
-    assert [ctx.pop_in_stream() for _ in range(3)] == ["p1", "p2", "p3"]
-    assert not ctx.in_stream
-
-
 def test_log_respects_tag_filter():
     logger = RunLogger(("keep",))
     logger.set_position(2, 7)
@@ -86,8 +72,7 @@ class _ProbeFamily(Algorithm):
 
 class _ProbeNode(AlgorithmNode):
     def perform_computation(self, ctx: NodeContext) -> None:
-        while ctx.in_stream:
-            packet = ctx.pop_in_stream()
+        for packet in ctx.in_stream:
             ctx.log("got", {"from": packet.source, "value": packet.payload,
                             "sentAt": packet.send_round})
         if ctx.id == 0:
@@ -119,8 +104,8 @@ def test_same_round_send_is_invisible_to_receiver():
     assert all(r.payload["sentAt"] < r.round for r in doc.records("got"))
 
 
-def test_unread_packets_survive_to_the_next_round():
-    # receiver that reads at most one packet per round
+def test_unread_packets_are_gone_next_round():
+    # node 0 sends three packets in round 0; node 1 reads only the first
     @register
     class _LazyFamily(Algorithm):
         variants = ("lazy-probe",)
@@ -130,12 +115,13 @@ def test_unread_packets_survive_to_the_next_round():
 
     class _LazyNode(AlgorithmNode):
         def perform_computation(self, ctx):
-            if ctx.id == 0 and ctx.round < 3:
-                ctx.unicast(1, ctx.round)
+            if ctx.id == 0 and ctx.round == 0:
+                for value in "abc":
+                    ctx.unicast(1, value)
             elif ctx.id == 1 and ctx.in_stream:
-                ctx.log("seen", ctx.pop_in_stream().payload)
+                ctx.log("seen", [len(ctx.in_stream), ctx.in_stream[0].payload])
 
     config = parse_obj({"algorithm": "lazy-probe", "topology": {"adjacency": {"0": [1], "1": [0]}},
                    "roundsPerComputation": 8, "seed": 1})
     doc = run(config)
-    assert [r.payload for r in doc.records("seen")] == [0, 1, 2]
+    assert [(r.round, r.payload) for r in doc.records("seen")] == [(1, [3, "a"])]

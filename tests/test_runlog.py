@@ -238,8 +238,6 @@ class _FabricTagLoggerFamily(Algorithm):
 
 class _FabricTagLogger(AlgorithmNode):
     def perform_computation(self, ctx):
-        while ctx.in_stream:
-            ctx.pop_in_stream()
         if ctx.id == 1:
             ctx.log(NET_SEND, {"from": 1.5, "note": "x"})
         ctx.broadcast(ctx.round)

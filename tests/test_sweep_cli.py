@@ -101,6 +101,15 @@ def test_series_kept_in_json_not_csv():
     assert "series" not in table.to_csv()
 
 
+def test_csv_writes_object_and_list_axis_values_as_json():
+    table = MetricTable(header={}, rows=(
+        Row({"kind": "deterministic", "value": 2}, "raft", 2.0, 6),
+        Row([1, 2], "raft", 2.0, 6), Row("x", "raft", 2.0, 6)))
+    rows = list(csv.reader(table.to_csv().splitlines()))[1:]
+    assert [row[0] for row in rows] == [
+        '{"kind":"deterministic","value":2}', "[1,2]", "x"]
+
+
 @pytest.mark.parametrize("patch,path_part", [
     ({"metric": "entropy"}, "metric"),
     ({"variants": ["raft", "chord"]}, "variants"),
@@ -319,6 +328,19 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
     ("sweep", (DELAY_SWEEP % '"seed": 1').encode().replace(
         b'"axis"', b'"variants": ["raft", "pbft", "raft"], "axis"'),
      "sim: variants: 'raft' is listed more than once"),
+    ("sweep", b'{"base": {"algorithm": 5, "topology": {"kind": "complete", '
+              b'"nodes": 3}, "roundsPerComputation": 5}, "axis": "seed", '
+              b'"points": [1], "metric": "mean_latency"}',
+     "sim: base.algorithm: expected a string, got 5"),
+    ("sweep", (DELAY_SWEEP % '"seed": 1').encode().replace(
+        b'"axis": "delay.value", "points": [1]',
+        b'"axis": "algorithm", "points": ["pbft", "chord"], '
+        b'"variants": ["raft"]'),
+     "sim: axis: every cell sets 'algorithm' to its variant"),
+    ("sweep", (DELAY_SWEEP % '"algorithmParams": {}').encode().replace(
+        b'"axis": "delay.value", "points": [1]',
+        b'"axis": "algorithmParams.variant", "points": ["pbft"]'),
+     "sim: axis: every cell sets 'algorithmParams.variant' to its variant"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -327,7 +349,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "sweep-seed-above-64-bits", "sweep-params-not-object",
         "ring-without-nodes", "uniform-without-max",
         "timeout-limit-null", "sweep-without-algorithm",
-        "sweep-variant-repeated"])
+        "sweep-variant-repeated", "sweep-algorithm-not-string",
+        "sweep-axis-algorithm", "sweep-axis-variant"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     path = tmp_path / "in.json"
