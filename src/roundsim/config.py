@@ -20,6 +20,10 @@ DEFAULT_SEED = 0xC0FFEE
 # length, and well below the largest rate numpy's poisson sampler takes.
 MAX_POISSON_MEAN = 1e9
 
+# Largest accepted uniform delay bound, in rounds: numpy draws the delay
+# as an int64 from [min, max + 1), so max + 1 must not exceed 2^63.
+MAX_UNIFORM_DELAY = 2 ** 63 - 1
+
 # Largest accepted number of directed channels in one computation. Runs
 # above it are refused before the topology is expanded; the largest
 # benchmark cell (raft on complete n=400) uses 159 600.
@@ -212,7 +216,8 @@ def _parse_delay(obj) -> DelayDistribution:
             as_int(require(obj, "delay.value"), "delay.value", minimum=1))
     if kind == UNIFORM:
         lo = as_int(require(obj, "delay.min"), "delay.min", minimum=1)
-        hi = as_int(require(obj, "delay.max"), "delay.max", minimum=1)
+        hi = as_int(require(obj, "delay.max"), "delay.max", minimum=1,
+                    maximum=MAX_UNIFORM_DELAY)
         if hi < lo:
             raise ConfigError("delay.max", f"max {hi} is below min {lo}")
         return DelayDistribution.uniform(lo, hi)

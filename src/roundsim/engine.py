@@ -3,9 +3,12 @@
 Each round is three strict phases: receive (collect the round's
 arrivals), compute (every awake node acts once, in ascending id order,
 with its arrivals as its in-stream), send (stage the awake nodes'
-outboxes onto channels in ascending sender order, one `Network.send`
-call per sender with a non-empty out-buffer). A channel that never draws
-delivers exactly its delay `value` rounds later, with no FIFO clamp.
+outboxes into the fabric in ascending sender order, one `Network.send`
+call per sender with a non-empty out-buffer). On a fixed law
+(deterministic delay, no loss) that call files all its messages under
+one delivery round, `value` rounds later, and opens no channel; only a
+drawing law opens channels. Each node's context shares the fabric's
+neighbour map for that node.
 Execution is serial: workerCount is accepted and validated but does not
 change how a run executes, so the log is the same for any value of it.
 
@@ -67,7 +70,8 @@ class Engine:
                           streams, fifo=algo.fifo_channels, logger=logger)
         nodes, members = {}, []
         for nid in sorted(adjacency):
-            ctx = NodeContext(nid, adjacency[nid], streams, logger)
+            ctx = NodeContext(nid, adjacency[nid], streams, logger,
+                              network.neighbor_ids[nid])
             node = nodes[nid] = algo.create_node(nid)
             members.append((nid, node, ctx))
 

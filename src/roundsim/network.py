@@ -1,16 +1,25 @@
 """Network fabric: topology, channels, packets, delay and loss.
 
-Channels are unicast and FIFO by default, and opened on their first send.
-A channel whose law draws (loss, or a random delay) builds its stream as
-it opens; the stream is keyed by (sender, receiver), so opening it late
-draws the same values. A packet's delivery round is fixed when it is
-staged: send round + sampled delay, clamped so delivery order matches
-staging order on FIFO channels. A channel that never draws (deterministic
-delay, no loss) delivers exactly `value` rounds later with no clamp: its
-delay is constant and send rounds never go down, so it is FIFO as it is.
+A network is built for its law. A fixed law (deterministic delay, no
+loss) draws nothing: every message of one `Network.send` call is
+delivered exactly `value` rounds after the send, so the call resolves
+that delivery round once, checks each receiver against the sender's
+neighbour map and files all its messages under that round. It opens no
+`Channel`. It needs no FIFO clamp either: its delay is constant and send
+rounds never go down, so it is FIFO as it is.
+
+Only a drawing law (loss, or a random delay) opens channels. Channels
+are unicast and FIFO by default, and opened on their first send; each
+builds its stream as it opens, keyed by (sender, receiver), so opening
+it late draws the same values. A packet's delivery round is fixed when
+it is staged: send round + sampled delay, clamped so delivery order
+matches staging order on FIFO channels.
+
 The engine stages each sender's whole out-buffer with one `Network.send`
 call. Packets are filed under their delivery round and receiver, so
-delivery is one lookup per round and idle channels cost nothing.
+delivery is one lookup per round and idle edges cost nothing. The
+network holds one neighbour map per node; the engine hands the same map
+to the node's `NodeContext`, so a node's membership is held once.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -107,6 +116,15 @@ _new_tuple = tuple.__new__
 _by_source = itemgetter(0)
 
 
+def _draws(delay: DelayDistribution, loss_probability: float) -> bool:
+    """Whether a law draws: it loses messages or its delay is random."""
+    return loss_probability > 0.0 or delay.kind != DETERMINISTIC
+
+
+def _no_channel(sender, receiver) -> ConfigError:
+    return ConfigError("topology", f"no channel {sender}->{receiver}")
+
+
 class Channel:
     """Unicast link from one sender to one receiver; rng is None when
     its law never draws (deterministic delay, no loss)."""
@@ -122,8 +140,8 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        draws = loss_probability > 0.0 or delay.kind != DETERMINISTIC
-        self.rng = streams.channel(sender, receiver) if draws else None
+        self.rng = (streams.channel(sender, receiver)
+                    if _draws(delay, loss_probability) else None)
 
     def make_packet(self, payload, send_round: int) -> Optional[Packet]:
         """Loss trial, then delay sample; None when the message is lost.
@@ -143,14 +161,17 @@ class Channel:
 
 
 class Network:
-    """The channels one computation has sent on plus the in-flight schedule."""
+    """The in-flight schedule of one computation, built for its law:
+    a fixed law stages without channels, a drawing law through them."""
 
     def __init__(self, adjacency: dict, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory,
                  fifo: bool = True, logger: Optional[RunLogger] = None):
-        self.channels = {}  # (sender, receiver) -> Channel, opened on first send
-        self._adjacency = adjacency
-        self._delay = delay
+        self.channels = {}  # (sender, receiver) -> Channel; drawing laws only
+        # node -> {neighbour id: the same id}; shared with the node's context
+        self.neighbor_ids = {u: {v: v for v in vs} for u, vs in adjacency.items()}
+        self._fixed = not _draws(delay, loss_probability)
+        self._value = delay.value
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
                              streams=streams, fifo=fifo)
         self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
@@ -172,10 +193,11 @@ class Network:
         return self.total_sent - self.total_delivered
 
     def channel(self, sender: int, receiver: int) -> Channel:
+        """The sender's channel to receiver, opened if it is not yet."""
         channel = self.channels.get((sender, receiver))
         if channel is None:
-            if receiver not in self._adjacency.get(sender, ()):
-                raise ConfigError("topology", f"no channel {sender}->{receiver}")
+            if receiver not in self.neighbor_ids.get(sender, ()):
+                raise _no_channel(sender, receiver)
             channel = self.channels[(sender, receiver)] = self._open(sender, receiver)
         return channel
 
@@ -183,32 +205,49 @@ class Network:
         """Stage one sender's out-buffer, a sequence of (receiver, payload),
         in order; returns the last message's packet, or None if it was lost.
 
-        A channel that never draws delivers exactly `value` rounds later;
-        every other channel goes through `Channel.make_packet`.
+        On a fixed law every message is delivered `value` rounds later and
+        no channel is opened; on a drawing law each message goes through
+        its channel's `Channel.make_packet`. An unknown edge raises
+        mid-buffer, and the messages staged before it stay counted.
         """
-        channels, buckets = self.channels, self._buckets
-        send_log, drop_log = self._send_log, self._drop_log
+        buckets, send_log = self._buckets, self._send_log
         computation = self._computation
-        value = self._delay.value
         packet = None
         sent = dropped = 0
         try:
+            if self._fixed:
+                neighbors = self.neighbor_ids.get(sender, ())
+                value = self._value
+                delivery = send_round + value
+                by_dest = buckets[delivery]
+                for receiver, payload in out:
+                    if receiver not in neighbors:
+                        raise _no_channel(sender, receiver)
+                    packet = _new_tuple(Packet, (sender, receiver, send_round,
+                                                 value, delivery, payload))
+                    packets = by_dest.get(receiver)
+                    if packets is None:
+                        by_dest[receiver] = [packet]
+                    else:
+                        packets.append(packet)
+                    sent += 1
+                    if send_log is not None:
+                        send_log.append(_new_tuple(SendRecord, (
+                            computation, delivery, sender, receiver, send_round)))
+                return packet
+
+            channels, drop_log = self.channels, self._drop_log
             for receiver, payload in out:
                 channel = (channels.get((sender, receiver))
                            or self.channel(sender, receiver))
-                if channel.rng is None:
-                    delivery = send_round + value
-                    packet = _new_tuple(Packet, (sender, receiver, send_round,
-                                                 value, delivery, payload))
-                else:
-                    packet = channel.make_packet(payload, send_round)
-                    if packet is None:
-                        dropped += 1
-                        if drop_log is not None:
-                            drop_log.append(_new_tuple(DropRecord, (
-                                computation, sender, receiver, send_round)))
-                        continue
-                    delivery = packet[4]
+                packet = channel.make_packet(payload, send_round)
+                if packet is None:
+                    dropped += 1
+                    if drop_log is not None:
+                        drop_log.append(_new_tuple(DropRecord, (
+                            computation, sender, receiver, send_round)))
+                    continue
+                delivery = packet[4]
                 by_dest = buckets[delivery]
                 packets = by_dest.get(receiver)
                 if packets is None:

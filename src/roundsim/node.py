@@ -18,10 +18,14 @@ class NodeContext:
     __slots__ = ("id", "neighbors", "in_stream", "out_buffer", "round",
                  "_neighbor_ids", "_logger", "_rng", "_streams")
 
-    def __init__(self, node_id: int, neighbors: tuple, streams, logger):
+    def __init__(self, node_id: int, neighbors: tuple, streams, logger,
+                 neighbor_ids=None):
         self.id = node_id
         self.neighbors = tuple(neighbors)
-        self._neighbor_ids = {nid: nid for nid in neighbors}
+        # {neighbour id: the same id}; the engine passes the fabric's map
+        # for this node, so the two share it.
+        self._neighbor_ids = ({nid: nid for nid in neighbors}
+                              if neighbor_ids is None else neighbor_ids)
         self.in_stream = ()
         self.out_buffer = []
         self.round = 0

@@ -5,6 +5,8 @@ import pytest
 
 from roundsim.config import load_file, parse_obj
 from roundsim.engine import GEN0_THRESHOLD, Engine, run
+from roundsim.network import Channel
+from roundsim.rng import StreamFactory
 from roundsim.runlog import serialize
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, get_algorithm, register
 
@@ -118,6 +120,31 @@ def test_engine_stats_count_messages():
     assert engine.stats["dropped"] == 0
     # round-2 sends are still in flight when the computation ends
     assert engine.stats["delivered"] == 4 * 3 * 2
+
+
+def recorded_calls(monkeypatch, cls, name):
+    """The positional arguments of every call of cls.name from now on."""
+    calls, method = [], getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def test_only_a_drawing_law_opens_channels(monkeypatch):
+    opened = recorded_calls(monkeypatch, Channel, "__init__")
+    streams = recorded_calls(monkeypatch, StreamFactory, "channel")
+    engine = Engine(tick_config())  # deterministic delay 1, no loss
+    engine.run()
+    assert engine.stats["sent"] == 2 * 4 * 3 * 3
+    assert opened == [] and streams == []
+    # With loss every edge of both computations opens once, with its stream.
+    run(tick_config(lossProbability=0.1))
+    assert len(opened) == len(streams) == 2 * 4 * 3
+    assert sorted(streams) == sorted(args[:2] for args in opened)
 
 
 def test_meta_echoes_config_without_worker_count():

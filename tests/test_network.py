@@ -193,20 +193,39 @@ def test_missing_channel_raises():
 
 def test_channels_open_on_first_send():
     adjacency = {0: (1, 2), 1: (0,), 2: (0,)}
-    net = make_network(adjacency, DelayDistribution.deterministic(1))
+
+    def refuse_unknown_edges(net):
+        for sender, receiver in ((1, 2), (0, 0), (5, 0)):
+            with pytest.raises(ConfigError,
+                               match=f"topology: no channel {sender}->{receiver}"):
+                net.enqueue(sender, receiver, "m", 0)
+        # Mid-buffer: the message staged before the unknown edge counts.
+        with pytest.raises(ConfigError, match="no channel 0->0"):
+            net.send(0, [(1, "a"), (0, "b"), (2, "c")], 2)
+        assert (net.total_sent, net.in_flight) == (3, 3)
+
+    # A drawing law opens a channel on its edge's first send, and none
+    # for an edge it refuses.
+    net = make_network(adjacency, DelayDistribution.uniform(1, 2))
     assert net.channels == {}
     net.enqueue(0, 2, "m", 0)
     net.enqueue(0, 2, "n", 1)
     assert list(net.channels) == [(0, 2)]
-    for sender, receiver in ((1, 2), (0, 0), (5, 0)):
-        with pytest.raises(ConfigError,
-                           match=f"topology: no channel {sender}->{receiver}"):
-            net.enqueue(sender, receiver, "m", 0)
-    assert list(net.channels) == [(0, 2)]
-    with pytest.raises(ConfigError, match="no channel 0->0"):
-        net.send(0, [(1, "a"), (0, "b"), (2, "c")], 2)
+    refuse_unknown_edges(net)
     assert list(net.channels) == [(0, 2), (0, 1)]
-    assert (net.total_sent, net.in_flight) == (3, 3)
+
+    # A fixed law opens none, and files the staged message all the same.
+    net = make_network(adjacency, DelayDistribution.deterministic(1))
+    net.enqueue(0, 2, "m", 0)
+    net.enqueue(0, 2, "n", 1)
+    refuse_unknown_edges(net)
+    assert net.channels == {}
+    assert [p.payload for p in net.collect_deliverable(3)[1]] == ["a"]
+    # Asked for one, it opens it; a channel that draws nothing has no stream.
+    assert net.channel(0, 1).rng is None
+    assert list(net.channels) == [(0, 1)]
+    with pytest.raises(ConfigError, match="no channel 1->2"):
+        net.channel(1, 2)
 
 
 def test_network_counters():
@@ -272,21 +291,24 @@ def test_one_send_per_sender_matches_per_message_enqueues():
 
 
 def test_fixed_delay_branch_equals_make_packet():
+    # The fixed law builds its packets itself; a standalone channel of the
+    # same law is the reference for each of them.
     delay = DelayDistribution.deterministic(3)
     net = Network({0: (1,), 1: ()}, delay, 0.0, streams=None)
     twin = Channel(0, 1, delay, 0.0, streams=None)
+    assert twin.rng is None
     rnd = random.Random(2)
     send_round = 0
     for i in range(200):
         send_round += rnd.choice((0, 0, 1, 2))
         payload = {"i": i}
         packet = net.enqueue(0, 1, payload, send_round)
-        assert net.channels[(0, 1)].rng is None
         assert packet == twin.make_packet(payload, send_round)
         assert packet.payload is payload
         assert (packet.source, packet.destination, packet.send_round,
                 packet.delay, packet.delivery_round) == (0, 1, send_round, 3,
                                                          send_round + 3)
+    assert net.channels == {}
     assert Packet._fields == ("source", "destination", "send_round", "delay",
                               "delivery_round", "payload")
 

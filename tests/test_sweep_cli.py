@@ -317,6 +317,11 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
             b'"topology": {"kind": "complete", "nodes": 3}, '
             b'"delay": {"kind": "uniform", "min": 1}}',
      "delay.max: missing required key"),
+    ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 3}, '
+            b'"delay": {"kind": "uniform", "min": 1, '
+            b'"max": 99999999999999999999}}',
+     "delay.max: must be <= 9223372036854775807, got 99999999999999999999"),
     ("run", b'{"algorithm": "abp", "roundsPerComputation": 5, '
             b'"topology": {"kind": "complete", "nodes": 2}, '
             b'"algorithmParams": {"timeoutLimit": null}}',
@@ -347,7 +352,7 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "window-not-int", "window-zero", "leader-bool", "leader-float",
         "leader-misspelled", "sweep-seed-not-int", "sweep-seed-negative",
         "sweep-seed-above-64-bits", "sweep-params-not-object",
-        "ring-without-nodes", "uniform-without-max",
+        "ring-without-nodes", "uniform-without-max", "uniform-max-above-int64",
         "timeout-limit-null", "sweep-without-algorithm",
         "sweep-variant-repeated", "sweep-algorithm-not-string",
         "sweep-axis-algorithm", "sweep-axis-variant"])
