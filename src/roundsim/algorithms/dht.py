@@ -147,21 +147,21 @@ class DhtFamily(Algorithm):
         """origin -> {round -> [(qid, target)]}, each list in qid order.
 
         Queries are drawn round by round, origin then target, so the
-        workload does not depend on how it is split among origins.
+        workload does not depend on how it is split among origins. One
+        vector draw of all the (origin, target) pairs takes the values of
+        a scalar loop of `integers(n)` calls.
         """
         rate = self.params["queriesPerRound"]
         if rate == 0:
             return {}
-        rng = self.streams.workload()
+        queries = self.config.rounds_per_computation * rate
+        # A memoryview's step slices read the pairs without a list of ints.
+        draws = memoryview(
+            self.streams.workload().integers(self.n, size=2 * queries))
         schedules = {}
-        qid = 0
-        for round_ in range(self.config.rounds_per_computation):
-            for _ in range(rate):
-                origin = int(rng.integers(self.n))
-                target = int(rng.integers(self.n))
-                schedules.setdefault(origin, {}).setdefault(round_, []).append(
-                    (qid, target))
-                qid += 1
+        for qid, (origin, target) in enumerate(zip(draws[::2], draws[1::2])):
+            schedules.setdefault(origin, {}).setdefault(qid // rate, []).append(
+                (qid, target))
         return schedules
 
     def adjacency(self):

@@ -17,11 +17,13 @@ from .runlog import canonical_json
 DEFAULT_SEED = 0xC0FFEE
 
 # Largest accepted poisson delay mean, in rounds. It is far beyond any run
-# length, and well below the largest rate numpy's poisson sampler takes.
+# length, and well below the largest rate `rng.Stream.poisson` takes (the
+# limit numpy's sampler has, which it copies).
 MAX_POISSON_MEAN = 1e9
 
-# Largest accepted uniform delay bound, in rounds: numpy draws the delay
-# as an int64 from [min, max + 1), so max + 1 must not exceed 2^63.
+# Largest accepted uniform delay bound, in rounds: `rng.Stream.integers`
+# draws the delay from [min, max + 1) and, like numpy, takes only int64
+# ends, so max + 1 must not exceed 2^63.
 MAX_UNIFORM_DELAY = 2 ** 63 - 1
 
 # Largest accepted number of directed channels in one computation. Runs

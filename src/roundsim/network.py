@@ -34,11 +34,12 @@ tuples through their templates.
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from math import exp
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError
-from .rng import StreamFactory
+from .rng import TO_DOUBLE, Stream, StreamFactory
 from .runlog import (NET_DELIVER, NET_DROP, NET_SEND, DeliverRecord,
                      DropRecord, RunLogger, SendRecord)
 
@@ -89,7 +90,8 @@ class DelayDistribution:
 
 
 def sample_delay(dist: DelayDistribution, rng) -> int:
-    """Draw one delay; integer, always >= 1."""
+    """Draw one delay; integer, always >= 1. rng is a `Stream` or a numpy
+    `Generator`: both draw the same delay from the same stream."""
     if dist.kind == DETERMINISTIC:
         return dist.value
     if dist.kind == UNIFORM:
@@ -126,11 +128,14 @@ def _no_channel(sender, receiver) -> ConfigError:
 
 
 class Channel:
-    """Unicast link from one sender to one receiver; rng is None when
-    its law never draws (deterministic delay, no loss)."""
+    """Unicast link from one sender to one receiver.
+
+    A channel whose law draws holds its stream as a `Stream` in rng; rng
+    is None when the law never draws (deterministic delay, no loss).
+    """
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
-                 "last_delivery_round", "rng")
+                 "last_delivery_round", "rng", "_enlam")
 
     def __init__(self, sender: int, receiver: int, delay: DelayDistribution,
                  loss_probability: float, streams: StreamFactory, fifo: bool = True):
@@ -140,18 +145,36 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        self.rng = (streams.channel(sender, receiver)
+        self.rng = (Stream(streams.channel(sender, receiver))
                     if _draws(delay, loss_probability) else None)
+        # exp(-rate) when the delay is 1 + Poisson(rate) with 0 < rate < 10,
+        # which make_packet draws inline; None for any other law.
+        rate = delay.mean - 1.0
+        self._enlam = (exp(-rate) if delay.kind == POISSON and 0.0 < rate < 10.0
+                       else None)
 
     def make_packet(self, payload, send_round: int) -> Optional[Packet]:
         """Loss trial, then delay sample; None when the message is lost.
 
         The loss trial comes first so a lost message never consumes a
-        delay sample.
+        delay sample. The loss trial and a poisson delay below mean 11
+        read the stream's words here, the draws `Stream.random` and
+        `Stream.poisson` make, without their method calls.
         """
-        if self.loss_probability > 0.0 and self.rng.random() < self.loss_probability:
+        rng = self.rng
+        loss = self.loss_probability
+        if loss > 0.0 and (rng.word() >> 11) * TO_DOUBLE < loss:
             return None
-        delay = sample_delay(self.delay, self.rng)
+        enlam = self._enlam
+        if enlam is None:
+            delay = sample_delay(self.delay, rng)
+        else:
+            word = rng.word
+            delay = 1
+            prod = (word() >> 11) * TO_DOUBLE
+            while prod > enlam:
+                delay += 1
+                prod *= (word() >> 11) * TO_DOUBLE
         delivery = send_round + delay
         if self.fifo and delivery < self.last_delivery_round:
             delivery = self.last_delivery_round

@@ -12,6 +12,7 @@ log, stamped with the engine's current position.
 """
 
 from .errors import SimulationError
+from .rng import Stream
 
 
 class NodeContext:
@@ -34,11 +35,12 @@ class NodeContext:
         self._streams = streams
 
     @property
-    def rng(self):
+    def rng(self) -> Stream:
         """This node's private stream; keyed by node id, so building it
-        late draws the same values."""
+        late draws the same values. It offers scalar `random()`,
+        `integers(low, high=None)` and `poisson(lam)`."""
         if self._rng is None:
-            self._rng = self._streams.node(self.id)
+            self._rng = Stream(self._streams.node(self.id))
         return self._rng
 
     def broadcast(self, payload) -> None:

@@ -134,6 +134,41 @@ def test_kademlia_shortcuts_count_toward_the_channel_cap(monkeypatch):
         dht_config("kademlia", 128)
 
 
+@pytest.mark.parametrize("variant,n,rate,seed", [
+    ("chord", 2, 1, 0), ("chord", 5, 3, 7), ("kademlia", 16, 2, 31),
+    ("chord", 1000, 8, 5)])
+def test_query_schedule_matches_scalar_draws(variant, n, rate, seed):
+    # Reference: round by round, one scalar draw for the origin, then one
+    # for the target.
+    rounds = 40
+    config = dht_config(variant, n, roundsPerComputation=rounds,
+                        algorithmParams={"queriesPerRound": rate})
+    rng = StreamFactory(seed, 0).workload()
+    expected, qid = {}, 0
+    for round_ in range(rounds):
+        for _ in range(rate):
+            origin, target = int(rng.integers(n)), int(rng.integers(n))
+            expected.setdefault(origin, {}).setdefault(round_, []).append(
+                (qid, target))
+            qid += 1
+    family = get_algorithm(variant)(config, StreamFactory(seed, 0))
+    assert family.schedules == expected
+    assert all(type(origin) is int and type(target) is int
+               for origin, by_round in family.schedules.items()
+               for queries in by_round.values() for _, target in queries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2 ** 31 + 1, 2 ** 32, 2 ** 32 + 1, 2 ** 33])
+def test_one_vector_draw_takes_the_scalar_draws(n):
+    # The schedule rests on this: integers(n, size=k) takes the same 32-
+    # and 64-bit draws, in order, as k scalar integers(n) calls, for ring
+    # sizes past any a config can reach too.
+    for seed in range(5):
+        scalar = StreamFactory(seed, 0).workload()
+        vector = StreamFactory(seed, 0).workload().integers(n, size=41).tolist()
+        assert vector == [int(scalar.integers(n)) for _ in range(41)]
+
+
 def test_dht_schedule_is_capped_before_it_is_drawn():
     with pytest.raises(ConfigError, match="algorithmParams.queriesPerRound"):
         dht_config("chord", 4, roundsPerComputation=2,

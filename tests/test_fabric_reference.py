@@ -1,35 +1,50 @@
-"""The fixed-law fabric against a per-message reference.
+"""The fabric against a per-message reference.
 
-On a deterministic, lossless law `Network.send` stages a whole call under
-one delivery round without opening channels. The reference here stages
-every message on its own through `Channel.make_packet` into a plain
-{round: {dest: [packets]}} map, and writes each trace record as the
+The reference stages every message on its own into a plain
+{round: {dest: [packets]}} map and writes each trace record as the
 payload dict the log shows. Both are driven with the same generated
-topology, delay and out-buffers, and must agree on every delivery, every
+topology, law and out-buffers, and must agree on every delivery, every
 trace record and every counter.
+
+On a fixed law (deterministic delay, no loss) the reference builds each
+packet with `Channel.make_packet`, while `Network.send` stages a whole
+call under one delivery round without opening channels. On a drawing law
+the reference does not go through `Channel` at all: it draws from each
+edge's `np.random.Generator` (`StreamFactory.channel`) with numpy's own
+samplers, by the formula written out here (loss trial, then delay, then
+the FIFO clamp), while the fabric draws through roundsim's `Stream`.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from roundsim.network import Channel, DelayDistribution, Network
+from roundsim.network import (DETERMINISTIC, UNIFORM, Channel,
+                              DelayDistribution, Network, Packet)
 from roundsim.rng import StreamFactory
-from roundsim.runlog import NET_DELIVER, NET_SEND, RunLogger
+from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
 
 COMPUTATION = 1
+SEED = 9
 
 
 class ReferenceFabric:
-    def __init__(self, adjacency, delay):
-        self.channels = {(u, v): Channel(u, v, delay, 0.0, streams=None)
-                         for u, vs in adjacency.items() for v in vs}
+    """`packet_for(sender, dest, payload, send_round)` is one message's
+    packet, or None when it is lost."""
+
+    def __init__(self, packet_for):
+        self.packet_for = packet_for
         self.schedule = {}  # delivery round -> {dest: [Packet]}
-        self.records = {NET_SEND: [], NET_DELIVER: []}
-        self.sent = self.delivered = 0
+        self.records = {NET_SEND: [], NET_DROP: [], NET_DELIVER: []}
+        self.sent = self.delivered = self.dropped = 0
 
     def send(self, sender, out, send_round):
         packet = None
         for dest, payload in out:
-            packet = self.channels[(sender, dest)].make_packet(payload, send_round)
+            packet = self.packet_for(sender, dest, payload, send_round)
+            if packet is None:
+                self.records[NET_DROP].append((COMPUTATION, send_round, None, {
+                    "from": sender, "to": dest}))
+                self.dropped += 1
+                continue
             by_dest = self.schedule.setdefault(packet.delivery_round, {})
             by_dest.setdefault(dest, []).append(packet)
             self.records[NET_SEND].append((COMPUTATION, send_round, None, {
@@ -49,9 +64,43 @@ class ReferenceFabric:
         return by_dest
 
 
+def fixed_law_reference(adjacency, delay):
+    channels = {(u, v): Channel(u, v, delay, 0.0, streams=None)
+                for u, vs in adjacency.items() for v in vs}
+    return ReferenceFabric(
+        lambda sender, dest, payload, send_round:
+        channels[(sender, dest)].make_packet(payload, send_round))
+
+
+def drawing_law_reference(delay, loss, fifo):
+    streams = StreamFactory(SEED, COMPUTATION)
+    rngs, last = {}, {}  # per edge, opened on its first message
+
+    def packet_for(sender, dest, payload, send_round):
+        edge = (sender, dest)
+        if edge not in rngs:
+            rngs[edge], last[edge] = streams.channel(sender, dest), 0
+        rng = rngs[edge]
+        if loss > 0.0 and rng.random() < loss:
+            return None
+        if delay.kind == DETERMINISTIC:
+            value = delay.value
+        elif delay.kind == UNIFORM:
+            value = int(rng.integers(delay.min, delay.max + 1))
+        else:
+            value = 1 + int(rng.poisson(delay.mean - 1.0))
+        delivery = send_round + value
+        if fifo:
+            delivery = max(delivery, last[edge])
+        last[edge] = delivery
+        return Packet(sender, dest, send_round, value, delivery, payload)
+
+    return ReferenceFabric(packet_for)
+
+
 @st.composite
-def adjacencies(draw):
-    n = draw(st.integers(2, 12))
+def adjacencies(draw, max_nodes=12):
+    n = draw(st.integers(2, max_nodes))
     kind = draw(st.sampled_from(("complete", "ring", "explicit")))
     if kind == "complete":
         return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
@@ -64,33 +113,25 @@ def adjacencies(draw):
 
 
 @st.composite
-def fabric_runs(draw):
-    adjacency = draw(adjacencies())
-    delay = draw(st.integers(1, 5))
+def send_rounds(draw, adjacency, max_rounds=8, max_buffer=5):
     senders = sorted(u for u, vs in adjacency.items() if vs)
     rounds = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, max_rounds))):
         buffers = []
         for u in senders:
-            dests = draw(st.lists(st.sampled_from(adjacency[u]), max_size=5))
+            dests = draw(st.lists(st.sampled_from(adjacency[u]),
+                                  max_size=max_buffer))
             if dests:
                 buffers.append((u, dests))
         rounds.append(buffers)
-    return adjacency, delay, rounds
+    return rounds
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(fabric_runs())
-def test_fixed_law_fabric_matches_per_message_reference(case):
-    adjacency, value, rounds = case
-    delay = DelayDistribution.deterministic(value)
-    logger = RunLogger([NET_SEND, NET_DELIVER])
-    net = Network(adjacency, delay, 0.0, StreamFactory(9, COMPUTATION),
-                  logger=logger)
-    ref = ReferenceFabric(adjacency, delay)
+def drive(net, ref, rounds, extra_rounds):
+    """Send `rounds` of buffers on both, then only deliver for
+    `extra_rounds` more, checking every delivery, return and counter."""
     payload = 0
-    # The last `value` rounds only deliver.
-    for round_, buffers in enumerate(rounds + [[]] * value):
+    for round_, buffers in enumerate(rounds + [[]] * extra_rounds):
         # Destination order counts too: it is the order of first staging.
         assert list(net.collect_deliverable(round_).items()) == \
             list(ref.collect(round_).items())
@@ -98,11 +139,81 @@ def test_fixed_law_fabric_matches_per_message_reference(case):
             out = [(dest, payload + i) for i, dest in enumerate(dests)]
             payload += len(out)
             assert net.send(sender, out, round_) == ref.send(sender, out, round_)
-        assert (net.total_sent, net.total_delivered, net.in_flight) == \
-            (ref.sent, ref.delivered, ref.sent - ref.delivered)
-    assert net.in_flight == 0 and net.total_dropped == 0
-    assert net.channels == {}
+        assert (net.total_sent, net.total_delivered, net.total_dropped,
+                net.in_flight) == (ref.sent, ref.delivered, ref.dropped,
+                                   ref.sent - ref.delivered)
+
+
+def assert_same_records(logger, ref):
     for tag, want in ref.records.items():
         assert [(r.computation, r.round, r.node, r.payload)
                 for r in logger.document.records(tag)] == want
 
+
+@st.composite
+def fixed_law_runs(draw):
+    adjacency = draw(adjacencies())
+    return adjacency, draw(st.integers(1, 5)), draw(send_rounds(adjacency))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fixed_law_runs())
+def test_fixed_law_fabric_matches_per_message_reference(case):
+    adjacency, value, rounds = case
+    delay = DelayDistribution.deterministic(value)
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    net = Network(adjacency, delay, 0.0, StreamFactory(SEED, COMPUTATION),
+                  logger=logger)
+    ref = fixed_law_reference(adjacency, delay)
+    # The last `value` rounds only deliver.
+    drive(net, ref, rounds, value)
+    assert net.in_flight == 0 and net.total_dropped == 0
+    assert net.channels == {}
+    assert_same_records(logger, ref)
+
+
+# Uniform spans: short ones, one where Lemire's method rejects often, and
+# ones past 2^32, where it works on whole 64-bit words.
+_SPANS = st.one_of(st.integers(0, 6), st.sampled_from((2 ** 31, 2 ** 32 - 1)),
+                   st.integers(2 ** 32, 2 ** 40))
+
+
+@st.composite
+def drawing_laws(draw):
+    """A law that draws: loss, a random delay, or both."""
+    loss = draw(st.sampled_from((0.0, 0.1, 0.5)) | st.floats(0.0, 0.5))
+    kind = draw(st.sampled_from(("deterministic", "uniform", "poisson")))
+    if kind == "deterministic":
+        loss = loss or 0.25
+        delay = DelayDistribution.deterministic(draw(st.integers(1, 4)))
+    elif kind == "uniform":
+        lo = draw(st.integers(1, 4))
+        delay = DelayDistribution.uniform(lo, lo + draw(_SPANS))
+    else:
+        # Rates below 10 take the multiplication method, from 10 up PTRS;
+        # mean 1 is rate 0, which draws nothing.
+        delay = DelayDistribution.poisson(
+            draw(st.sampled_from((1.0, 10.999, 11.0)) | st.floats(1.0, 16.0)))
+    return delay, loss
+
+
+@st.composite
+def drawing_law_runs(draw):
+    adjacency = draw(adjacencies(max_nodes=6))
+    delay, loss = draw(drawing_laws())
+    return (adjacency, delay, loss, draw(st.booleans()),
+            draw(send_rounds(adjacency, max_rounds=6)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(drawing_law_runs())
+def test_drawing_law_fabric_matches_numpy_reference(case):
+    adjacency, delay, loss, fifo, rounds = case
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    net = Network(adjacency, delay, loss, StreamFactory(SEED, COMPUTATION),
+                  fifo=fifo, logger=logger)
+    ref = drawing_law_reference(delay, loss, fifo)
+    # Enough delivery-only rounds for every short delay; a long uniform
+    # delay's packets stay in flight and show in the send records.
+    drive(net, ref, rounds, 30)
+    assert_same_records(logger, ref)
