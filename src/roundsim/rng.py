@@ -152,8 +152,9 @@ class Stream:
     words numpy's `Generator` methods of the same names take for one
     scalar draw, in the same order, and return the same values, as
     Python ints and floats. Build it on a generator nothing has drawn
-    from yet. `word()` returns the next raw 64-bit word; the fabric reads
-    doubles through it to save a method call per draw.
+    from yet. `word()` returns the next raw 64-bit word, which
+    `Channel.make_packet` reads to make the loss trial and the poisson
+    delay without a method call per draw.
     """
 
     __slots__ = ("word", "_half")
