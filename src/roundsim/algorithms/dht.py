@@ -9,6 +9,9 @@ chosen from the topology stream, and needs n to be a power of two so
 the identifier space is fully populated.
 """
 
+from operator import itemgetter
+from typing import NamedTuple
+
 import numpy as np
 
 from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
@@ -21,6 +24,63 @@ KADEMLIA = "kademlia"
 
 TAG_RESOLVED = "queryResolved"
 TAG_FORWARDED = "queryForwarded"
+
+
+# The hot tags' typed records (see `roundsim.runlog`): fields in template
+# order, so a node passes the payload values sorted by key.
+
+class ForwardRecord(NamedTuple):
+    """chord's `queryForwarded`: the node passed query `query` on to `to`."""
+
+    computation: int
+    node: int
+    query: int
+    to: int
+    round: int
+
+    TAG = TAG_FORWARDED
+    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"query":%d,"to":%d},'
+                '"round":%d}')
+    KEY = itemgetter(0, -1, 1)
+
+    @property
+    def payload(self) -> dict:
+        return {"query": self.query, "to": self.to}
+
+
+class KademliaForwardRecord(ForwardRecord):
+    """kademlia's `queryForwarded`. Its payload also holds `"fallback":
+    false`: kademlia always finds a shortcut, and the constant stays so the
+    log bytes do not change."""
+
+    __slots__ = ()
+    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"fallback":false,'
+                '"query":%d,"to":%d},"round":%d}')
+
+    @property
+    def payload(self) -> dict:
+        return {"query": self.query, "to": self.to, "fallback": False}
+
+
+class ResolveRecord(NamedTuple):
+    """`queryResolved`: query `query` reached `target`, this node, after
+    `hops` forwards."""
+
+    computation: int
+    node: int
+    hops: int
+    query: int
+    target: int
+    round: int
+
+    TAG = TAG_RESOLVED
+    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"hops":%d,"query":%d,'
+                '"target":%d},"round":%d}')
+    KEY = itemgetter(0, -1, 1)
+
+    @property
+    def payload(self) -> dict:
+        return {"query": self.query, "target": self.target, "hops": self.hops}
 
 
 def ring_next_hop(node_id: int, target: int, n: int) -> int:
@@ -70,15 +130,15 @@ class DhtNode(AlgorithmNode):
 
     def _handle(self, ctx, qid, target, hops):
         if target == self.id:
-            ctx.log(TAG_RESOLVED, {"query": qid, "target": target, "hops": hops})
+            ctx.log_record(ResolveRecord, hops, qid, target)
             return
         if self.variant == CHORD:
             nxt = ring_next_hop(self.id, target, self.n)
-            ctx.log(TAG_FORWARDED, {"query": qid, "to": nxt})
+            ctx.log_record(ForwardRecord, qid, nxt)
         else:
             nxt = self._kademlia_next_hop(target)
-            # "fallback" is always False; it stays so the log bytes do not change.
-            ctx.log(TAG_FORWARDED, {"query": qid, "to": nxt, "fallback": False})
+            # KademliaForwardRecord writes the constant "fallback":false.
+            ctx.log_record(KademliaForwardRecord, qid, nxt)
         ctx.unicast(nxt, ("q", qid, target, hops + 1))
 
     def _kademlia_next_hop(self, target):

@@ -322,9 +322,13 @@ def load(text: str) -> RunConfig:
 
 
 def read_text(path) -> str:
-    """A config file's text; a file that is not UTF-8 is a ConfigError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """A config file's text; a file that cannot be read or is not UTF-8 is
+    a ConfigError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(path), exc.strerror or str(exc)) from None
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -40,8 +40,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 from .rng import TO_DOUBLE, Stream, StreamFactory
-from .runlog import (NET_DELIVER, NET_DROP, NET_SEND, DeliverRecord,
-                     DropRecord, RunLogger, SendRecord)
+from .runlog import DeliverRecord, DropRecord, RunLogger, SendRecord
 
 DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
@@ -205,8 +204,8 @@ class Network:
         # Fabric tags are resolved once here, never per message: each is
         # that tag's record list, or None when the tag is off.
         self._send_log, self._drop_log, self._deliver_log = (
-            None if logger is None else logger.records_for(tag)
-            for tag in (NET_SEND, NET_DROP, NET_DELIVER))
+            None if logger is None else logger.records_for(kind.TAG)
+            for kind in (SendRecord, DropRecord, DeliverRecord))
         # The computation every trace record is stamped with; a network
         # without a logger may have no streams.
         self._computation = None if logger is None else streams.computation

@@ -7,8 +7,9 @@ read with `for packet in ctx.in_stream:` and valid only during the call),
 staged sends, the current round, a private random stream and a log
 handle. Each context is owned exclusively by its node's compute hook;
 payloads placed on the wire are shared by reference and must be treated
-as immutable. Records logged through a context go straight into the run
-log, stamped with the engine's current position.
+as immutable. Records logged through a context, as a tag and a payload
+or as a typed record, go straight into the run log, stamped with the
+engine's current position.
 """
 
 from .errors import SimulationError
@@ -64,6 +65,12 @@ class NodeContext:
     def log(self, tag: str, payload) -> None:
         """Append a record for this node at the current (computation, round)."""
         self._logger.append(tag, payload, node=self.id)
+
+    def log_record(self, kind, *values) -> None:
+        """Append a typed record of `kind` (see `roundsim.runlog`) under
+        `kind.TAG`: `values` are its payload fields in its template's
+        order; the logger adds the stamp."""
+        self._logger.append_record(kind, self.id, values)
 
 
 class AlgorithmNode:

@@ -7,19 +7,36 @@ sorting before node records of the same round; the sort is stable, so records
 with equal stamps keep their emission order. Serializing the same document
 twice yields identical bytes.
 
-Records come in two kinds. A `LogRecord` holds any payload and is written
-with `json.dumps`. The fabric's per-message records (`SendRecord`,
-`DeliverRecord`, `DropRecord`, created only by `Network`) are tuples of
-ints: the stamp and payload values in the order their type's `TEMPLATE`
-prints them. Their `node` is always None, and `payload` builds a fresh dict
-on each read, so changing that dict does not change the log.
+Records come in two kinds. A `LogRecord` holds any JSON payload and is
+written with `json.dumps`. A typed record is a `NamedTuple` of ints for one
+high-volume tag; its type declares
+
+- `TAG`, the tag it is logged under;
+- `TEMPLATE`, its canonical JSON with one `%d` per field, so
+  `TEMPLATE % record` is the record's text. The fields are the values the
+  template prints, in canonical key order: `computation`, `node`, the
+  payload's values sorted by key, then `round`. A type whose `node` is
+  always None makes it a class attribute and prints `null`;
+- `KEY`, an `itemgetter` of its stamp, (computation, round) or
+  (computation, round, node), which orders a list of that type as the
+  stamp order above does;
+- `payload`, a property that builds the payload dict afresh on each read,
+  so changing that dict does not change the log.
+
+Only int fields may be typed: `%d` writes `True` and `1.0` as `1`, where
+`json.dumps` writes `true` and `1.0`. The fabric's `SendRecord`,
+`DeliverRecord` and `DropRecord` (node always None) are built only by
+`Network`. A protocol declares its own types and logs one with
+`NodeContext.log_record`, which hands the payload values to
+`RunLogger.append_record`; the logger adds the stamp, so a node never
+writes its own.
 
 `serialize` writes the document in one pass into one list of pieces. A tag
-whose records are all of one fabric type is rendered through that type's
-`%`-template; a tag that mixes kinds is rendered record by record; every
-other tag takes one `json.dumps` of its records. The renderer is chosen by
-record type, never by tag, so a node that logs under a `net.*` tag is
-written like any other record.
+whose records are all of one typed kind is rendered through that type's
+template with C-level `map` calls only; a tag that mixes kinds is rendered
+record by record; every other tag takes one `json.dumps` of its records.
+The renderer is chosen by record type, never by tag, so a node that logs a
+dict under a typed record's tag is written like any other record.
 """
 
 import json
@@ -77,8 +94,7 @@ class LogRecord:
         }
 
 
-# Fabric records. Each template is the record's canonical JSON: keys in
-# sort_keys order, compact separators; fields follow the template's order.
+# Fabric records, typed as the module docstring says; their node is None.
 
 class SendRecord(NamedTuple):
     """`net.send`: a message staged on a channel."""
@@ -90,8 +106,10 @@ class SendRecord(NamedTuple):
     round: int
 
     node = None
+    TAG = NET_SEND
     TEMPLATE = ('{"computation":%d,"node":null,"payload":{"deliveryRound":%d,'
                 '"from":%d,"to":%d},"round":%d}')
+    KEY = itemgetter(0, -1)
 
     @property
     def payload(self) -> dict:
@@ -109,8 +127,10 @@ class DeliverRecord(NamedTuple):
     round: int
 
     node = None
+    TAG = NET_DELIVER
     TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,'
                 '"sentRound":%d,"to":%d},"round":%d}')
+    KEY = itemgetter(0, -1)
 
     @property
     def payload(self) -> dict:
@@ -127,31 +147,31 @@ class DropRecord(NamedTuple):
     round: int
 
     node = None
+    TAG = NET_DROP
     TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,"to":%d},'
                 '"round":%d}')
+    KEY = itemgetter(0, -1)
 
     @property
     def payload(self) -> dict:
         return {"from": self.source, "to": self.destination}
 
 
-_TEMPLATES = {kind: kind.TEMPLATE for kind in (SendRecord, DeliverRecord, DropRecord)}
+_new_tuple = tuple.__new__
 
 
-def _sort_key(rec: LogRecord):
+def _sort_key(rec):
     node = -1 if rec.node is None else rec.node
     return (rec.computation, rec.round, node)
 
 
-# (computation, round) of a fabric record; its node is always None, so this
-# orders a list of one fabric type as `_sort_key` does.
-_fabric_key = itemgetter(0, -1)
-
-
 def _order_key(kinds: set):
-    """Canonical sort key for a list whose record types are `kinds`."""
-    if len(kinds) == 1 and not kinds.isdisjoint(_TEMPLATES):
-        return _fabric_key
+    """Canonical sort key for a list whose record types are `kinds`: the
+    type's own `KEY` when they are all of one typed kind."""
+    if len(kinds) == 1:
+        kind, = kinds
+        if kind is not LogRecord:
+            return kind.KEY
     return _sort_key
 
 
@@ -201,8 +221,10 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 
 
 def _render(rec) -> str:
-    template = _TEMPLATES.get(type(rec))
-    return canonical_json(rec.to_json_obj()) if template is None else template % rec
+    """One record of a tag that mixes kinds."""
+    if rec.__class__ is LogRecord:
+        return canonical_json(rec.to_json_obj())
+    return rec.TEMPLATE % rec
 
 
 def serialize(doc: LogDocument) -> str:
@@ -219,10 +241,10 @@ def serialize(doc: LogDocument) -> str:
         stamps = list(map(key, records))
         if not all(map(le, stamps, islice(stamps, 1, None))):
             records = sorted(records, key=key)
-        if kinds.isdisjoint(_TEMPLATES):
+        if kinds <= {LogRecord}:
             parts.append(canonical_json([rec.to_json_obj() for rec in records]))
         else:
-            render = (_TEMPLATES[kinds.pop()].__mod__ if len(kinds) == 1
+            render = (kinds.pop().TEMPLATE.__mod__ if len(kinds) == 1
                       else _render)
             parts += ("[", ",".join(map(render, records)), "]")
     parts += ('},"meta":', canonical_json(dict(doc.meta, version=__version__)), "}")
@@ -232,9 +254,9 @@ def serialize(doc: LogDocument) -> str:
 class RunLogger:
     """Collects records during a run, stamping them with engine state.
 
-    Nodes append through NodeContext.log as they compute. The engine runs
-    them one at a time, so emission order within (computation, round,
-    node) is the order the node logged in.
+    Nodes append through NodeContext.log and NodeContext.log_record as
+    they compute. The engine runs them one at a time, so emission order
+    within (computation, round, node) is the order the node logged in.
     """
 
     def __init__(self, enabled_tags: Optional[Iterable[str]] = None):
@@ -277,3 +299,16 @@ class RunLogger:
             records = self.records_for(tag)
         if records is not None:
             records.append(LogRecord(self.computation, self.round, node, payload))
+
+    def append_record(self, kind, node: int, values: tuple) -> None:
+        """Append a typed record of `kind` under `kind.TAG`: `values` are
+        its payload fields in template order, stamped here with this
+        logger's (computation, round) and `node`."""
+        tag = kind.TAG
+        try:
+            records = self._records[tag]
+        except KeyError:
+            records = self.records_for(tag)
+        if records is not None:
+            records.append(_new_tuple(
+                kind, (self.computation, node, *values, self.round)))

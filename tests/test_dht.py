@@ -8,8 +8,8 @@ from roundsim.errors import ConfigError, MetricError
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.algorithms.base import get_algorithm
-from roundsim.algorithms.dht import (common_prefix_len, mean_hops,
-                                     prefix_groups, ring_next_hop)
+from roundsim.algorithms.dht import (TAG_FORWARDED, common_prefix_len,
+                                     mean_hops, prefix_groups, ring_next_hop)
 from roundsim.runlog import LogDocument, LogRecord, RunLogger
 
 
@@ -248,21 +248,19 @@ def test_node_handles_same_round_queries_in_qid_order():
     config = dht_config("chord", 4, roundsPerComputation=5,
                         algorithmParams={"queriesPerRound": 8})
     family = get_algorithm("chord")(config, StreamFactory(31, 0))
-    # 8 queries over 4 origins: some origin injects two in one round
+    # 8 queries over 4 origins: some origin injects two in one round, none
+    # of them for itself, so each is logged as one forward
     origin, round_, entries = next(
         (origin, round_, entries)
         for origin, schedule in sorted(family.schedules.items())
-        for round_, entries in sorted(schedule.items()) if len(entries) >= 2)
-    emitted = []
-
-    class RecordingLogger(RunLogger):
-        def append(self, tag, payload, node=None):
-            emitted.append((tag, payload))
-
-    ctx = NodeContext(origin, config.adjacency[origin], None, RecordingLogger())
+        for round_, entries in sorted(schedule.items())
+        if len(entries) >= 2 and all(target != origin for _, target in entries))
+    logger = RunLogger()
+    logger.set_position(0, round_)
+    ctx = NodeContext(origin, config.adjacency[origin], None, logger)
     ctx.round = round_
     family.create_node(origin).perform_computation(ctx)
-    qids = [payload["query"] for _, payload in emitted]
+    qids = [payload["query"] for payload in logger.document.payloads(TAG_FORWARDED)]
     assert qids == [qid for qid, _ in entries]
     assert qids == sorted(qids)
 

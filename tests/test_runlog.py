@@ -2,15 +2,20 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roundsim._version import __version__
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
+from roundsim.algorithms.dht import (TAG_FORWARDED, ForwardRecord,
+                                     KademliaForwardRecord, ResolveRecord)
+from roundsim.cli import _doc_to_csv
 from roundsim.config import load_file, parse_obj
 from roundsim.engine import run
 from roundsim.node import NodeContext
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              NET_TAGS, DeliverRecord, DropRecord, LogDocument,
-                             LogRecord, RunLogger, SendRecord, serialize)
+                             LogRecord, RunLogger, SendRecord, canonical_json,
+                             serialize)
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -258,3 +263,107 @@ def test_node_logged_fabric_tag_renders_like_the_reference():
     assert all(rec["node"] == 1 and rec["payload"] == {"from": 1.5, "note": "x"}
                for rec in node_sends)
     assert len(sends) > len(node_sends)
+
+
+# typed records -----------------------------------------------------------------
+
+# Every typed record type, with the payload dict its tag was logged with
+# before the type existed, built from the record's fields.
+OLD_PAYLOADS = {
+    SendRecord: lambda r: {"from": r.source, "to": r.destination,
+                           "deliveryRound": r.delivery_round},
+    DeliverRecord: lambda r: {"from": r.source, "to": r.destination,
+                              "sentRound": r.sent_round},
+    DropRecord: lambda r: {"from": r.source, "to": r.destination},
+    ForwardRecord: lambda r: {"query": r.query, "to": r.to},
+    KademliaForwardRecord: lambda r: {"query": r.query, "to": r.to,
+                                      "fallback": False},
+    ResolveRecord: lambda r: {"query": r.query, "target": r.target,
+                              "hops": r.hops},
+}
+
+# Ints across 0, negatives and past both ends of int64.
+INTS = st.one_of(st.integers(-2**70, 2**70),
+                 st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 + 1, -2**63 - 1]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(list(OLD_PAYLOADS)), st.data())
+def test_typed_record_template_is_its_canonical_json(kind, data):
+    size = len(kind._fields)
+    rec = kind(*data.draw(st.lists(INTS, min_size=size, max_size=size)))
+    old = OLD_PAYLOADS[kind](rec)
+    assert rec.TEMPLATE % rec == canonical_json({
+        "computation": rec.computation, "node": rec.node, "payload": old,
+        "round": rec.round})
+    assert rec.payload == old
+    assert rec.payload is not rec.payload
+    stamp = (rec.computation, rec.round)
+    assert kind.KEY(rec) == (stamp if rec.node is None else stamp + (rec.node,))
+
+
+def as_log_records(doc):
+    """A copy of `doc` with every record a `LogRecord`, in the same order."""
+    return LogDocument(dict(doc.meta), {
+        tag: [LogRecord(r.computation, r.round, r.node, r.payload) for r in records]
+        for tag, records in doc.data.items()})
+
+
+def test_typed_records_are_logged_with_the_loggers_stamp():
+    logger = RunLogger()
+    logger.set_position(2, 17)
+    ctx = NodeContext(4, (), None, logger)
+    ctx.log_record(ForwardRecord, 9, 5)
+    ctx.log_record(ResolveRecord, 3, 8, 4)
+    doc = logger.document
+    assert doc.records(TAG_FORWARDED) == [ForwardRecord(2, 4, 9, 5, 17)]
+    assert doc.payloads("queryResolved") == [{"query": 8, "target": 4, "hops": 3}]
+    off = RunLogger(("queryResolved",))
+    NodeContext(4, (), None, off).log_record(ForwardRecord, 9, 5)
+    assert off.document.records(TAG_FORWARDED) == []
+
+
+# Every node logs a typed forward each round; node 1 also logs a dict under
+# the same tag, and the family an engine record after each round.
+@register
+class _MixedForwardFamily(Algorithm):
+    variants = ("mixed-forward-logger",)
+
+    def create_node(self, node_id):
+        return _MixedForwarder()
+
+    def end_of_round(self, round_, nodes, logger):
+        logger.append(TAG_FORWARDED, {"engine": round_})
+
+
+class _MixedForwarder(AlgorithmNode):
+    def perform_computation(self, ctx):
+        if ctx.id == 1:
+            ctx.log(TAG_FORWARDED, {"query": 1.5, "note": "x"})
+        ctx.log_record(ForwardRecord, ctx.round, ctx.neighbors[0])
+
+
+def test_mixed_tag_serializes_like_an_all_log_record_copy():
+    doc = run(parse_obj({
+        "algorithm": "mixed-forward-logger",
+        "topology": {"kind": "ring", "nodes": 4}, "roundsPerComputation": 5,
+        "computationsPerRun": 2, "seed": 3}))
+    records = doc.records(TAG_FORWARDED)
+    assert {type(r) for r in records} == {ForwardRecord, LogRecord}
+    assert [(r.computation, r.round, r.node) for r in records[:4]] == [
+        (0, 0, None), (0, 0, 0), (0, 0, 1), (0, 0, 1)]
+    text = serialize(doc)
+    assert text == serialize(as_log_records(doc)) == reference_serialize(doc)
+    # out of order, the mixed tag is sorted record by record
+    for tag in doc.data:
+        doc.data[tag].reverse()
+    assert serialize(doc) == serialize(as_log_records(doc)) == reference_serialize(doc)
+
+
+def test_chord_csv_and_log_match_an_all_log_record_copy():
+    doc = run(load_file(CONFIGS[0].parent / "chord.json"))
+    assert {type(r) for r in doc.records(TAG_FORWARDED)} == {ForwardRecord}
+    copy = as_log_records(doc)
+    assert _doc_to_csv(doc) == _doc_to_csv(copy)
+    assert serialize(doc) == serialize(copy)
+

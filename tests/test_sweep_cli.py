@@ -263,6 +263,8 @@ DELAY_SWEEP = ('{"base": {"algorithm": "raft", "topology": {"kind": '
                '"axis": "delay.value", "points": [1], '
                '"metric": "mean_latency"}')
 
+IS_DIRECTORY = object()
+
 PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
                '"nodes": 4}, "roundsPerComputation": 5, '
                '"algorithmParams": {%s}}')
@@ -346,6 +348,12 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         b'"axis": "delay.value", "points": [1]',
         b'"axis": "algorithmParams.variant", "points": ["pbft"]'),
      "sim: axis: every cell sets 'algorithmParams.variant' to its variant"),
+    ("run", IS_DIRECTORY, "in.json: Is a directory"),
+    ("sweep", IS_DIRECTORY, "in.json: Is a directory"),
+    ("bench --threads 1", IS_DIRECTORY, "in.json: Is a directory"),
+    ("run", None, "in.json: No such file or directory"),
+    ("sweep", None, "in.json: No such file or directory"),
+    ("bench --threads 1", None, "in.json: No such file or directory"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -355,12 +363,19 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "ring-without-nodes", "uniform-without-max", "uniform-max-above-int64",
         "timeout-limit-null", "sweep-without-algorithm",
         "sweep-variant-repeated", "sweep-algorithm-not-string",
-        "sweep-axis-algorithm", "sweep-axis-variant"])
+        "sweep-axis-algorithm", "sweep-axis-variant", "run-directory",
+        "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
+        "bench-missing"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
+    """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
+    or None for no file at all."""
     path = tmp_path / "in.json"
-    path.write_bytes(raw)
-    assert main([command, str(path)]) == 2
+    if raw is IS_DIRECTORY:
+        path.mkdir()
+    elif raw is not None:
+        path.write_bytes(raw)
+    assert main([*command.split(), str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sim: ") and err.count("\n") == 1
     assert reason in err
