@@ -2,13 +2,22 @@
 Ethereum multi-parent block DAGs.
 
 Mining and transaction submission are per-peer Bernoulli trials each
-round. Both draws are consumed every round whether or not they fire, so
-runs with identical seeds stay aligned across variants.
+round. A peer's i-th round reads words 2i and 2i+1 of its node stream,
+whether or not the trials fire, so runs with identical seeds stay aligned
+across variants. It reads them TRIAL_BLOCK rounds at a time, straight
+from the stream's bit generator, and keeps one trial byte per round: the
+same words and the same doubles two `Stream.random()` calls take, and
+the same comparisons, made elementwise by numpy.
 """
+
+from operator import attrgetter
+
+import numpy as np
 
 from ..config import as_probability
 from ..errors import MetricError
 from ..node import AlgorithmNode
+from ..rng import TO_DOUBLE
 from .base import Algorithm, register
 
 BITCOIN = "bitcoin"
@@ -19,6 +28,35 @@ GENESIS_ID = -1
 TAG_TRANSACTION = "transaction"
 TAG_BLOCK = "block"
 TAG_CONFIRMED = "confirmed"
+
+# Rounds of trials a peer reads at once: 2 * TRIAL_BLOCK raw words, kept
+# as TRIAL_BLOCK bytes, so a peer holds the same block however long the
+# computation is.
+TRIAL_BLOCK = 512
+# The bits of a round's trial byte.
+SUBMIT = 1
+MINE = 2
+
+# An explicit uint64 operand, so the shift stays uint64 under every
+# numpy's type promotion rules.
+_DOUBLE_SHIFT = np.uint64(11)
+_best_len = attrgetter("best_len")
+
+
+def draw_trials(bit_generator, rounds: int, tx_probability: float,
+                mine_probability: float) -> bytes:
+    """The next `rounds` rounds' trials, one byte per round.
+
+    Round i reads raw words 2i and 2i+1 and takes each as the double
+    (w >> 11) * 2**-53, as `Stream.random` does; SUBMIT is set when the
+    first is below tx_probability, MINE when the second is below
+    mine_probability. The doubles are exact and the comparisons IEEE, so
+    the bytes do not depend on numpy's distribution code.
+    """
+    doubles = (bit_generator.random_raw(2 * rounds) >> _DOUBLE_SHIFT) * TO_DOUBLE
+    trials = (doubles[0::2] < tx_probability).astype(np.uint8)
+    trials |= (doubles[1::2] < mine_probability).astype(np.uint8) << np.uint8(1)
+    return trials.tobytes()
 
 
 class Block:
@@ -47,8 +85,11 @@ def make_genesis() -> Block:
 
 
 class BlockchainPeer(AlgorithmNode):
+    """One peer. `bits` is its node stream's bit generator, which it
+    reads through `draw_trials`; the peer never builds `ctx.rng`."""
+
     def __init__(self, node_id: int, n_nodes: int, variant: str,
-                 tx_probability: float, mine_probability: float):
+                 tx_probability: float, mine_probability: float, bits=None):
         self.id = node_id
         self.n = n_nodes
         self.variant = variant
@@ -61,6 +102,9 @@ class BlockchainPeer(AlgorithmNode):
         self.pending = {}        # tx id -> None, FIFO via insertion order
         self.seen_tx = set()     # submitted or mined transaction ids
         self.waiting = {}        # missing parent id -> [blocks waiting on it]
+        self.bits = bits
+        self._trials = b""       # this block's trial bytes
+        self._next = 0           # index of the next round's byte in it
 
     def perform_computation(self, ctx):
         for packet in ctx.in_stream:
@@ -70,19 +114,29 @@ class BlockchainPeer(AlgorithmNode):
             else:
                 self._accept_block(payload[1])
 
-        # Both draws happen unconditionally to keep streams aligned.
-        rng = ctx.rng
-        submit = rng.random() < self.tx_probability
-        mine = rng.random() < self.mine_probability
+        # Every call takes the next round's trials, whether or not they
+        # fire, to keep streams aligned.
+        trials, index = self._trials, self._next
+        if index == len(trials):
+            trials = self._trials = draw_trials(
+                self.bits, TRIAL_BLOCK, self.tx_probability,
+                self.mine_probability)
+            index = 0
+        self._next = index + 1
+        trial = trials[index]
+        if trial:
+            self._act(ctx, trial)
 
-        if submit:
+    def _act(self, ctx, trial):
+        """Submit a transaction and mine a block as the trial byte says."""
+        if trial & SUBMIT:
             tx = ctx.round * self.n + self.id
             self.pending[tx] = None
             self.seen_tx.add(tx)
             ctx.log(TAG_TRANSACTION, {"tx": tx})
             ctx.broadcast(("tx", tx))
 
-        if mine and self.pending:
+        if trial & MINE and self.pending:
             tx = next(iter(self.pending))
             del self.pending[tx]
             block = self._mine(tx, ctx.round)
@@ -164,10 +218,12 @@ class BlockchainFamily(Algorithm):
         return BlockchainPeer(node_id, self.config.n_nodes,
                               self.params["variant"],
                               self.params["transactionProbability"],
-                              self.params["mineProbability"])
+                              self.params["mineProbability"],
+                              self.streams.node(node_id).bit_generator)
 
     def end_of_round(self, round_, nodes, logger):
-        count = confirmed_blocks(nodes.values())
+        # confirmed_blocks, without a generator and a property per peer
+        count = min(map(_best_len, nodes.values()))
         logger.append(TAG_CONFIRMED, {"round": round_, "count": count})
 
 

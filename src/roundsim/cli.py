@@ -4,7 +4,9 @@ failures."""
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 
 from . import config as config_mod
@@ -12,6 +14,22 @@ from . import sweep as sweep_mod
 from .engine import Engine
 from .errors import ConfigError, RoundsimError
 from .runlog import canonical_json, serialize
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before anything runs:
+    a ConfigError naming the path, with the reason `open` would give."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(path, os.strerror(code))
 
 
 def _emit(text: str, out) -> None:
@@ -113,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"sim: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Each round is three strict phases: receive (collect the round's
 arrivals), compute (every awake node acts once, in ascending id order,
 with its arrivals as its in-stream), send (stage the awake nodes'
 outboxes into the fabric in ascending sender order, one `Network.send`
-call per sender with a non-empty out-buffer). On a fixed law
+call per sender with a non-empty out-buffer). A broadcast sits in the
+out-buffer as one `(None, payload)` entry, which that call expands into
+one message per neighbour, in neighbour order. On a fixed law
 (deterministic delay, no loss) that call files all its messages under
 one delivery round, `value` rounds later, and opens no channel; only a
 drawing law opens channels. Each node's context shares the fabric's

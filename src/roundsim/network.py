@@ -16,10 +16,15 @@ it is staged: send round + sampled delay, clamped so delivery order
 matches staging order on FIFO channels.
 
 The engine stages each sender's whole out-buffer with one `Network.send`
-call. Packets are filed under their delivery round and receiver, so
-delivery is one lookup per round and idle edges cost nothing. The
-network holds one neighbour map per node; the engine hands the same map
-to the node's `NodeContext`, so a node's membership is held once.
+call. A broadcast is one `(None, payload)` entry in it, which `send`
+expands over the sender's neighbour map, in neighbour order: on a fixed
+law without a membership check per message and with one count and one
+trace extend per broadcast, on a drawing law through a list of the
+sender's channels kept from its first broadcast. Packets are filed under
+their delivery round and receiver, so delivery is one lookup per round
+and idle edges cost nothing. The network holds one neighbour map per
+node; the engine hands the same map to the node's `NodeContext`, so a
+node's membership is held once.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -194,6 +199,9 @@ class Network:
                  loss_probability: float, streams: StreamFactory,
                  fifo: bool = True, logger: Optional[RunLogger] = None):
         self.channels = {}  # (sender, receiver) -> Channel; drawing laws only
+        # sender -> its channels in neighbour order, opened on its first
+        # broadcast; drawing laws only
+        self._fans = {}
         # node -> {neighbour id: the same id}; shared with the node's context
         self.neighbor_ids = {u: {v: v for v in vs} for u, vs in adjacency.items()}
         self._fixed = not _draws(delay, loss_probability)
@@ -228,13 +236,19 @@ class Network:
         return channel
 
     def send(self, sender: int, out, send_round: int) -> Optional[Packet]:
-        """Stage one sender's out-buffer, a sequence of (receiver, payload),
-        in order; returns the last message's packet, or None if it was lost.
+        """Stage one sender's out-buffer in order; returns the last
+        message's packet, or None if it was lost.
 
-        On a fixed law every message is delivered `value` rounds later and
-        no channel is opened; on a drawing law each message goes through
-        its channel's `Channel.make_packet`. An unknown edge raises
-        mid-buffer, and the messages staged before it stay counted.
+        An entry is `(receiver, payload)` for one message, or
+        `(None, payload)` for a broadcast: one message to each of the
+        sender's neighbours, in neighbour order. On a fixed law every
+        message is delivered `value` rounds later and no channel is
+        opened; a broadcast needs no membership check and is counted and
+        traced in one step. On a drawing law each message goes through
+        its channel's `Channel.make_packet`; a broadcast walks the
+        sender's channels in neighbour order, all opened on its first
+        broadcast. An unknown edge raises mid-buffer, and the messages
+        staged before it stay counted.
         """
         buckets, send_log = self._buckets, self._send_log
         computation = self._computation
@@ -247,6 +261,22 @@ class Network:
                 delivery = send_round + value
                 by_dest = buckets[delivery]
                 for receiver, payload in out:
+                    if receiver is None:
+                        for dest in neighbors:
+                            packet = _new_tuple(Packet, (
+                                sender, dest, send_round, value, delivery,
+                                payload))
+                            packets = by_dest.get(dest)
+                            if packets is None:
+                                by_dest[dest] = [packet]
+                            else:
+                                packets.append(packet)
+                        sent += len(neighbors)
+                        if send_log is not None:
+                            send_log.extend([_new_tuple(SendRecord, (
+                                computation, delivery, sender, dest,
+                                send_round)) for dest in neighbors])
+                        continue
                     if receiver not in neighbors:
                         raise _no_channel(sender, receiver)
                     packet = _new_tuple(Packet, (sender, receiver, send_round,
@@ -264,26 +294,53 @@ class Network:
 
             channels, drop_log = self.channels, self._drop_log
             for receiver, payload in out:
-                channel = (channels.get((sender, receiver))
-                           or self.channel(sender, receiver))
-                packet = channel.make_packet(payload, send_round)
-                if packet is None:
-                    dropped += 1
-                    if drop_log is not None:
-                        drop_log.append(_new_tuple(DropRecord, (
-                            computation, sender, receiver, send_round)))
+                if receiver is not None:
+                    channel = (channels.get((sender, receiver))
+                               or self.channel(sender, receiver))
+                    packet = channel.make_packet(payload, send_round)
+                    if packet is None:
+                        dropped += 1
+                        if drop_log is not None:
+                            drop_log.append(_new_tuple(DropRecord, (
+                                computation, sender, receiver, send_round)))
+                        continue
+                    delivery = packet[4]
+                    by_dest = buckets[delivery]
+                    packets = by_dest.get(receiver)
+                    if packets is None:
+                        by_dest[receiver] = [packet]
+                    else:
+                        packets.append(packet)
+                    sent += 1
+                    if send_log is not None:
+                        send_log.append(_new_tuple(SendRecord, (
+                            computation, delivery, sender, receiver, send_round)))
                     continue
-                delivery = packet[4]
-                by_dest = buckets[delivery]
-                packets = by_dest.get(receiver)
-                if packets is None:
-                    by_dest[receiver] = [packet]
-                else:
-                    packets.append(packet)
-                sent += 1
-                if send_log is not None:
-                    send_log.append(_new_tuple(SendRecord, (
-                        computation, delivery, sender, receiver, send_round)))
+                fan = self._fans.get(sender)
+                if fan is None:
+                    fan = self._fans[sender] = [
+                        self.channel(sender, dest)
+                        for dest in self.neighbor_ids.get(sender, ())]
+                for channel in fan:
+                    packet = channel.make_packet(payload, send_round)
+                    if packet is None:
+                        dropped += 1
+                        if drop_log is not None:
+                            drop_log.append(_new_tuple(DropRecord, (
+                                computation, sender, channel.receiver,
+                                send_round)))
+                        continue
+                    receiver, delivery = packet[1], packet[4]
+                    by_dest = buckets[delivery]
+                    packets = by_dest.get(receiver)
+                    if packets is None:
+                        by_dest[receiver] = [packet]
+                    else:
+                        packets.append(packet)
+                    sent += 1
+                    if send_log is not None:
+                        send_log.append(_new_tuple(SendRecord, (
+                            computation, delivery, sender, receiver, send_round)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
             self.total_sent += sent
             self.total_dropped += dropped

@@ -4,12 +4,13 @@ A protocol node is an AlgorithmNode, complete when its family's
 `create_node` returns it. A NodeContext is the only handle the node's
 hook gets: identity, neighbors, the in-stream (this round's arrivals,
 read with `for packet in ctx.in_stream:` and valid only during the call),
-staged sends, the current round, a private random stream and a log
-handle. Each context is owned exclusively by its node's compute hook;
-payloads placed on the wire are shared by reference and must be treated
-as immutable. Records logged through a context, as a tag and a payload
-or as a typed record, go straight into the run log, stamped with the
-engine's current position.
+staged sends (the out-buffer holds `(receiver, payload)` for a unicast
+and one `(None, payload)` for a broadcast), the current round, a
+private random stream and a log handle. Each context is owned
+exclusively by its node's compute hook; payloads placed on the wire are
+shared by reference and must be treated as immutable. Records logged
+through a context, as a tag and a payload or as a typed record, go
+straight into the run log, stamped with the engine's current position.
 """
 
 from .errors import SimulationError
@@ -45,11 +46,13 @@ class NodeContext:
         return self._rng
 
     def broadcast(self, payload) -> None:
-        """Stage one copy of payload per neighbor; each copy gets its own
-        loss trial and delay sample at send time."""
-        out = self.out_buffer
-        for dest in self.neighbors:
-            out.append((dest, payload))
+        """Stage payload for every neighbor as one `(None, payload)`
+        entry; a node with no neighbors stages nothing. `Network.send`
+        expands the entry into one message per neighbor, in the order of
+        `neighbors`, and each message gets its own loss trial and delay
+        sample there."""
+        if self.neighbors:
+            self.out_buffer.append((None, payload))
 
     def unicast(self, dest: int, payload) -> None:
         """Stage payload for one neighbor. The neighbor's own int id is

@@ -16,6 +16,13 @@ stable, and not on numpy's distribution code, which its RNG policy
 (NEP 19) lets change. The poisson sampler also calls the platform's
 `exp` and `log`, as numpy's does. Reading a block ahead is invisible,
 because every stream is private to one (computation, entity) key.
+
+Blockchain peers skip the `Stream`: each reads its node stream's bit
+generator directly, `random_raw` words for a block of rounds at a time,
+and compares the doubles `Stream.random` would make of them with its
+trial probabilities elementwise in numpy. That is exact conversion and
+IEEE comparison, not numpy's distribution code, so it draws the same
+trials.
 """
 
 from array import array

@@ -1,13 +1,17 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
+from roundsim.node import NodeContext
+from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.blockchain import (
-    GENESIS_ID, Block, BlockchainPeer, confirmed_blocks, throughput_series)
-from roundsim.runlog import LogDocument, LogRecord
+    GENESIS_ID, TAG_CONFIRMED, TRIAL_BLOCK, Block, BlockchainFamily,
+    BlockchainPeer, confirmed_blocks, throughput_series)
+from roundsim.runlog import LogDocument, LogRecord, serialize
 
 
 def chain_config(**overrides):
@@ -238,6 +242,106 @@ def test_equal_length_tie_prefers_lower_block_id():
     peer._adopt(lo)
     assert peer.best_tip == 4
     assert peer.best_len == 1
+
+
+# trial draws -----------------------------------------------------------------
+
+K = TRIAL_BLOCK
+
+
+class ScalarPeer(BlockchainPeer):
+    """Reference: draws each round's trials with two `ctx.rng.random()`
+    calls, the transaction trial first, and acts on them as the peer
+    does."""
+
+    def perform_computation(self, ctx):
+        for packet in ctx.in_stream:
+            kind, item = packet.payload
+            if kind == "tx":
+                self._accept_tx(item)
+            else:
+                self._accept_block(item)
+        rng = ctx.rng
+        trial = ((rng.random() < self.tx_probability)
+                 | (rng.random() < self.mine_probability) << 1)
+        if trial:
+            self._act(ctx, trial)
+
+
+class TrialPeer(BlockchainPeer):
+    """Records the (round, trial byte) of every round whose trials fire."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.fired = []
+
+    def _act(self, ctx, trial):
+        self.fired.append((ctx.round, trial))
+
+
+@pytest.mark.parametrize("rounds", [K - 1, K, K + 1, 3 * K + 5])
+def test_block_read_trials_match_two_scalar_draws(rounds):
+    probabilities = (0.0, 0.025, 0.5, 1.0)
+    for seed in range(100):
+        node = seed % 7
+        scalar = Stream(StreamFactory(seed, 0).node(node))
+        doubles = [scalar.random() for _ in range(2 * rounds)]
+        for tx_p, mine_p in zip(probabilities, reversed(probabilities)):
+            want = [(r, trial) for r in range(rounds)
+                    for trial in [(doubles[2 * r] < tx_p)
+                                  | (doubles[2 * r + 1] < mine_p) << 1]
+                    if trial]
+            peer = TrialPeer(node, 7, "bitcoin", tx_p, mine_p,
+                             StreamFactory(seed, 0).node(node).bit_generator)
+            ctx = SimpleNamespace(in_stream=())
+            for round_ in range(rounds):
+                ctx.round = round_
+                peer.perform_computation(ctx)
+            assert peer.fired == want, (seed, tx_p, mine_p)
+
+
+def test_peer_block_does_not_grow_with_rounds(monkeypatch):
+    def no_rng(self):
+        raise AssertionError("a peer built ctx.rng")
+
+    monkeypatch.setattr(NodeContext, "rng", property(no_rng))
+    held = {}
+
+    def keep_peers(self, nodes, logger):
+        held[self.config.rounds_per_computation] = list(nodes.values())
+
+    monkeypatch.setattr(BlockchainFamily, "finalize", keep_peers)
+    for rounds in (10, K + 3, 4 * K):
+        run(chain_config(topology={"kind": "complete", "nodes": 3},
+                         roundsPerComputation=rounds, computationsPerRun=1))
+    assert sorted(held) == [10, K + 3, 4 * K]
+    for peers in held.values():
+        assert [len(peer._trials) for peer in peers] == [K] * 3
+
+
+def scalar_reference_end_of_round(self, round_, nodes, logger):
+    logger.append(TAG_CONFIRMED, {"round": round_,
+                                  "count": confirmed_blocks(nodes.values())})
+
+
+@pytest.mark.parametrize("algorithm", ["bitcoin", "ethereum"])
+def test_run_matches_scalar_draw_reference(monkeypatch, algorithm):
+    config = chain_config(algorithm=algorithm,
+                          topology={"kind": "complete", "nodes": 7},
+                          delay={"kind": "uniform", "min": 1, "max": 4},
+                          lossProbability=0.3, computationsPerRun=3,
+                          roundsPerComputation=K + 3)
+    blocks = serialize(run(config))
+    with monkeypatch.context() as patch:
+        patch.setattr(BlockchainFamily, "create_node", lambda self, nid: ScalarPeer(
+            nid, self.config.n_nodes, self.params["variant"],
+            self.params["transactionProbability"],
+            self.params["mineProbability"]))
+        patch.setattr(BlockchainFamily, "end_of_round",
+                      scalar_reference_end_of_round)
+        scalar = serialize(run(config))
+    assert blocks == scalar
+    assert '"block"' in blocks
 
 
 # run-level -------------------------------------------------------------------

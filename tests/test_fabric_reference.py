@@ -4,7 +4,9 @@ The reference stages every message on its own into a plain
 {round: {dest: [packets]}} map and writes each trace record as the
 payload dict the log shows. Both are driven with the same generated
 topology, law and out-buffers, and must agree on every delivery, every
-trace record and every counter.
+trace record and every counter. The out-buffers mix unicasts with
+broadcast entries, `(None, payload)`, which the reference expands into
+one message per neighbour, in neighbour order.
 
 On a fixed law (deterministic delay, no loss) the reference builds each
 packet with `Channel.make_packet`, while `Network.send` stages a whole
@@ -15,10 +17,12 @@ samplers, by the formula written out here (loss trial, then delay, then
 the FIFO clamp), while the fabric draws through roundsim's `Stream`.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from roundsim.network import (DETERMINISTIC, UNIFORM, Channel,
                               DelayDistribution, Network, Packet)
+from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
 
@@ -30,15 +34,24 @@ class ReferenceFabric:
     """`packet_for(sender, dest, payload, send_round)` is one message's
     packet, or None when it is lost."""
 
-    def __init__(self, packet_for):
+    def __init__(self, adjacency, packet_for):
+        self.adjacency = adjacency
         self.packet_for = packet_for
         self.schedule = {}  # delivery round -> {dest: [Packet]}
         self.records = {NET_SEND: [], NET_DROP: [], NET_DELIVER: []}
         self.sent = self.delivered = self.dropped = 0
 
+    def messages(self, sender, out):
+        for dest, payload in out:
+            if dest is None:
+                for dest in self.adjacency[sender]:
+                    yield dest, payload
+            else:
+                yield dest, payload
+
     def send(self, sender, out, send_round):
         packet = None
-        for dest, payload in out:
+        for dest, payload in self.messages(sender, out):
             packet = self.packet_for(sender, dest, payload, send_round)
             if packet is None:
                 self.records[NET_DROP].append((COMPUTATION, send_round, None, {
@@ -68,11 +81,13 @@ def fixed_law_reference(adjacency, delay):
     channels = {(u, v): Channel(u, v, delay, 0.0, streams=None)
                 for u, vs in adjacency.items() for v in vs}
     return ReferenceFabric(
-        lambda sender, dest, payload, send_round:
+        adjacency, lambda sender, dest, payload, send_round:
         channels[(sender, dest)].make_packet(payload, send_round))
 
 
-def drawing_law_reference(delay, loss, fifo):
+def drawing_law_reference(adjacency, delay, loss, fifo):
+    """The reference opens an edge's stream on the edge's first message;
+    its `opened` holds those edges."""
     streams = StreamFactory(SEED, COMPUTATION)
     rngs, last = {}, {}  # per edge, opened on its first message
 
@@ -95,7 +110,9 @@ def drawing_law_reference(delay, loss, fifo):
         last[edge] = delivery
         return Packet(sender, dest, send_round, value, delivery, payload)
 
-    return ReferenceFabric(packet_for)
+    ref = ReferenceFabric(adjacency, packet_for)
+    ref.opened = rngs.keys()
+    return ref
 
 
 @st.composite
@@ -114,13 +131,16 @@ def adjacencies(draw, max_nodes=12):
 
 @st.composite
 def send_rounds(draw, adjacency, max_rounds=8, max_buffer=5):
-    senders = sorted(u for u, vs in adjacency.items() if vs)
+    """Out-buffers of unicasts and broadcasts (dest None); a sender with
+    no neighbours gets broadcasts only, which expand to nothing."""
     rounds = []
     for _ in range(draw(st.integers(1, max_rounds))):
         buffers = []
-        for u in senders:
-            dests = draw(st.lists(st.sampled_from(adjacency[u]),
-                                  max_size=max_buffer))
+        for u in sorted(adjacency):
+            dest = st.none()
+            if adjacency[u]:
+                dest |= st.sampled_from(adjacency[u])
+            dests = draw(st.lists(dest, max_size=max_buffer))
             if dests:
                 buffers.append((u, dests))
         rounds.append(buffers)
@@ -212,8 +232,30 @@ def test_drawing_law_fabric_matches_numpy_reference(case):
     logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
     net = Network(adjacency, delay, loss, StreamFactory(SEED, COMPUTATION),
                   fifo=fifo, logger=logger)
-    ref = drawing_law_reference(delay, loss, fifo)
+    ref = drawing_law_reference(adjacency, delay, loss, fifo)
     # Enough delivery-only rounds for every short delay; a long uniform
     # delay's packets stay in flight and show in the send records.
     drive(net, ref, rounds, 30)
     assert_same_records(logger, ref)
+    assert net.channels.keys() == ref.opened
+
+
+@pytest.mark.parametrize("delay,loss", [
+    (DelayDistribution.deterministic(1), 0.0),
+    (DelayDistribution.poisson(2.5), 0.1),
+], ids=["fixed", "drawing"])
+def test_sender_without_neighbors_stages_nothing(delay, loss):
+    # Explicit topology: node 2 hears from 0 but has no channel out.
+    adjacency = {0: (1, 2), 1: (0,), 2: ()}
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    streams = StreamFactory(SEED, COMPUTATION)
+    net = Network(adjacency, delay, loss, streams, logger=logger)
+    ctx = NodeContext(2, adjacency[2], streams, logger, net.neighbor_ids[2])
+    ctx.broadcast("x")
+    assert ctx.out_buffer == []
+    # A broadcast entry handed to the fabric directly expands to nothing.
+    assert net.send(2, [(None, "x")], 0) is None
+    assert (net.total_sent, net.total_dropped) == (0, 0)
+    assert net.channels == {}
+    assert not any(logger.document.records(tag)
+                   for tag in (NET_SEND, NET_DROP, NET_DELIVER))

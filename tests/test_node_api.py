@@ -4,8 +4,10 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import SimulationError
+from roundsim.network import DelayDistribution, Network
 from roundsim.node import NodeContext
-from roundsim.runlog import RunLogger
+from roundsim.rng import StreamFactory
+from roundsim.runlog import NET_SEND, RunLogger
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
 
 
@@ -13,16 +15,42 @@ def make_ctx(node_id=0, neighbors=(1, 2), tags=None):
     return NodeContext(node_id, neighbors, streams=None, logger=RunLogger(tags))
 
 
+# A fixed law stages without channels, a drawing one through them: a
+# uniform delay of exactly one round draws nothing yet takes the channels.
+LAWS = [DelayDistribution.deterministic(1), DelayDistribution.uniform(1, 1)]
+
+
+def fabric_messages(ctx, delay):
+    """The messages `Network.send` makes of ctx's out-buffer, as
+    (receiver, payload) in staging order: the `net.send` trace gives the
+    receivers in order and each receiver's packets give the payloads."""
+    logger = RunLogger([NET_SEND])
+    adjacency = {ctx.id: ctx.neighbors, **{v: () for v in ctx.neighbors}}
+    net = Network(adjacency, delay, 0.0, StreamFactory(1, 0), logger=logger)
+    net.send(ctx.id, ctx.out_buffer, 0)
+    arrivals = {dest: iter(packets)
+                for dest, packets in net.collect_deliverable(1).items()}
+    messages = [(rec.destination, next(arrivals[rec.destination]).payload)
+                for rec in logger.document.records(NET_SEND)]
+    assert all(next(rest, None) is None for rest in arrivals.values())
+    assert net.total_sent == len(messages)
+    return messages
+
+
 def test_broadcast_stages_one_copy_per_neighbor():
     ctx = make_ctx(neighbors=(3, 1, 2))
     ctx.broadcast("hello")
-    assert ctx.out_buffer == [(3, "hello"), (1, "hello"), (2, "hello")]
+    for delay in LAWS:
+        assert fabric_messages(ctx, delay) == [(3, "hello"), (1, "hello"),
+                                               (2, "hello")]
 
 
 def test_broadcast_without_neighbors_is_noop():
     ctx = make_ctx(neighbors=())
     ctx.broadcast("x")
     assert ctx.out_buffer == []
+    for delay in LAWS:
+        assert fabric_messages(ctx, delay) == []
 
 
 def test_broadcasts_keep_call_order():
@@ -30,7 +58,9 @@ def test_broadcasts_keep_call_order():
     ctx.broadcast("a")
     ctx.unicast(2, "b")
     ctx.broadcast("c")
-    assert ctx.out_buffer == [(1, "a"), (2, "a"), (2, "b"), (1, "c"), (2, "c")]
+    for delay in LAWS:
+        assert fabric_messages(ctx, delay) == [(1, "a"), (2, "a"), (2, "b"),
+                                               (1, "c"), (2, "c")]
 
 
 def test_unicast_requires_a_channel():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from roundsim import cli
 from roundsim.cli import main
 from roundsim.config import parse_obj
 from roundsim.engine import Engine, run
@@ -379,3 +380,32 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
     err = capsys.readouterr().err
     assert err.startswith("sim: ") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "bench --threads 1"])
+@pytest.mark.parametrize("target,reason", [
+    ("missing/out.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_cli_bad_out_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                            command, target, reason):
+    obj = sweep_obj(points=[1]) if command == "sweep" else run_config_obj()
+    source = write_json(tmp_path / "in.json", obj)
+
+    def no_run(self):
+        raise AssertionError("ran with an unwritable --out")
+
+    monkeypatch.setattr(Engine, "run", no_run)
+    out = str(tmp_path / target)
+    assert main([*command.split(), source, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sim: {out}: {reason}\n"
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # Permission checks pass for root, so the test denies them itself.
+    source = write_json(tmp_path / "in.json", run_config_obj())
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = str(tmp_path / "out.json")
+    assert main(["run", source, "--out", out]) == 2
+    assert capsys.readouterr().err == f"sim: {out}: Permission denied\n"
