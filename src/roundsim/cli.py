@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a run config JSON file")
     run_p.add_argument("--out", help="output path (default stdout)")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
-    run_p.add_argument("--threads", type=int, help="override workerCount")
+    run_p.add_argument("--threads", type=int,
+                       help="override workerCount; execution is serial, so "
+                            "no count changes the run or its log")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="execute a sweep file")
@@ -118,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--format", choices=("json", "csv"), default="json")
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    bench_p = sub.add_parser("bench", help="time a config across thread counts")
+    bench_help = ("time a config across workerCount values; execution is "
+                  "serial, so no count changes the run")
+    bench_p = sub.add_parser("bench", help=bench_help, description=bench_help)
     bench_p.add_argument("config", help="path to a run config JSON file")
     bench_p.add_argument("--threads", required=True,
                          help="comma-separated worker counts, e.g. 1,2,4")

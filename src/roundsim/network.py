@@ -3,10 +3,9 @@
 A network is built for its law. A fixed law (deterministic delay, no
 loss) draws nothing: every message of one `Network.send` call is
 delivered exactly `value` rounds after the send, so the call resolves
-that delivery round once, checks each receiver against the sender's
-neighbour map and files all its messages under that round. It opens no
-`Channel`. It needs no FIFO clamp either: its delay is constant and send
-rounds never go down, so it is FIFO as it is.
+that delivery round once and files all its messages under that round.
+It opens no `Channel`. It needs no FIFO clamp either: its delay is
+constant and send rounds never go down, so it is FIFO as it is.
 
 Only a drawing law (loss, or a random delay) opens channels. Channels
 are unicast and FIFO by default, and opened on their first send; each
@@ -16,15 +15,16 @@ it is staged: send round + sampled delay, clamped so delivery order
 matches staging order on FIFO channels.
 
 The engine stages each sender's whole out-buffer with one `Network.send`
-call. A broadcast is one `(None, payload)` entry in it, which `send`
-expands over the sender's neighbour map, in neighbour order: on a fixed
-law without a membership check per message and with one count and one
-trace extend per broadcast, on a drawing law through a list of the
-sender's channels kept from its first broadcast. Packets are filed under
-their delivery round and receiver, so delivery is one lookup per round
-and idle edges cost nothing. The network holds one neighbour map per
-node; the engine hands the same map to the node's `NodeContext`, so a
-node's membership is held once.
+call. An entry is a unicast, `(receiver, payload)`, or a broadcast,
+`(None, payload)`, which goes to each of the sender's neighbours in
+neighbour order. On a fixed law an entry builds one `Packet` and files
+that same packet under each of its receivers. On a drawing law each
+receiver gets its own packet from its channel, with its own loss trial
+and delay. Packets are filed under their delivery round and receiver, so
+delivery is one lookup per round and idle edges cost nothing; a packet
+does not name its receiver, since the bucket key does. The network holds
+one neighbour map per node; the engine hands the same map to the node's
+`NodeContext`, so a node's membership is held once.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -106,12 +106,13 @@ def sample_delay(dist: DelayDistribution, rng) -> int:
 class Packet(NamedTuple):
     """Envelope around an algorithm message while in transit.
 
+    A packet names no receiver: it is filed under its receiver, and on a
+    fixed law one packet is filed under every receiver of a broadcast.
     The fabric builds packets with ``tuple.__new__``, so making one runs
     no Python frame; fields read by name or by index.
     """
 
     source: int
-    destination: int
     send_round: int
     delay: int
     delivery_round: int
@@ -187,8 +188,8 @@ class Channel:
         if self.fifo and delivery < self.last_delivery_round:
             delivery = self.last_delivery_round
         self.last_delivery_round = delivery
-        return _new_tuple(Packet, (self.sender, self.receiver, send_round,
-                                   delay, delivery, payload))
+        return _new_tuple(Packet, (self.sender, send_round, delay, delivery,
+                                   payload))
 
 
 class Network:
@@ -236,91 +237,63 @@ class Network:
         return channel
 
     def send(self, sender: int, out, send_round: int) -> Optional[Packet]:
-        """Stage one sender's out-buffer in order; returns the last
-        message's packet, or None if it was lost.
+        """Stage one sender's out-buffer in order; returns the last packet
+        built, or None if that message was lost or nothing was built.
 
         An entry is `(receiver, payload)` for one message, or
         `(None, payload)` for a broadcast: one message to each of the
-        sender's neighbours, in neighbour order. On a fixed law every
-        message is delivered `value` rounds later and no channel is
-        opened; a broadcast needs no membership check and is counted and
-        traced in one step. On a drawing law each message goes through
+        sender's neighbours, in neighbour order. On a fixed law an entry
+        builds one packet, delivered `value` rounds later, and files it
+        under each of its receivers; a broadcast from a sender without
+        neighbours builds none. On a drawing law each message is built by
         its channel's `Channel.make_packet`; a broadcast walks the
-        sender's channels in neighbour order, all opened on its first
-        broadcast. An unknown edge raises mid-buffer, and the messages
-        staged before it stay counted.
+        sender's channels, all opened on its first broadcast. An unknown
+        edge raises mid-buffer, and the messages staged before it stay
+        counted.
         """
         buckets, send_log = self._buckets, self._send_log
         computation = self._computation
+        neighbors = self.neighbor_ids.get(sender, ())
         packet = None
         sent = dropped = 0
         try:
             if self._fixed:
-                neighbors = self.neighbor_ids.get(sender, ())
                 value = self._value
                 delivery = send_round + value
                 by_dest = buckets[delivery]
                 for receiver, payload in out:
-                    if receiver is None:
-                        for dest in neighbors:
-                            packet = _new_tuple(Packet, (
-                                sender, dest, send_round, value, delivery,
-                                payload))
-                            packets = by_dest.get(dest)
-                            if packets is None:
-                                by_dest[dest] = [packet]
-                            else:
-                                packets.append(packet)
-                        sent += len(neighbors)
-                        if send_log is not None:
-                            send_log.extend([_new_tuple(SendRecord, (
-                                computation, delivery, sender, dest,
-                                send_round)) for dest in neighbors])
-                        continue
-                    if receiver not in neighbors:
-                        raise _no_channel(sender, receiver)
-                    packet = _new_tuple(Packet, (sender, receiver, send_round,
-                                                 value, delivery, payload))
-                    packets = by_dest.get(receiver)
-                    if packets is None:
-                        by_dest[receiver] = [packet]
+                    if receiver is not None:
+                        if receiver not in neighbors:
+                            raise _no_channel(sender, receiver)
+                        dests = (receiver,)
+                    elif neighbors:
+                        dests = neighbors
                     else:
-                        packets.append(packet)
-                    sent += 1
-                    if send_log is not None:
-                        send_log.append(_new_tuple(SendRecord, (
-                            computation, delivery, sender, receiver, send_round)))
+                        continue
+                    packet = _new_tuple(Packet, (sender, send_round, value,
+                                                 delivery, payload))
+                    for dest in dests:
+                        packets = by_dest.get(dest)
+                        if packets is None:
+                            by_dest[dest] = [packet]
+                        else:
+                            packets.append(packet)
+                        if send_log is not None:
+                            send_log.append(_new_tuple(SendRecord, (
+                                computation, delivery, sender, dest, send_round)))
+                    sent += len(dests)
                 return packet
 
-            channels, drop_log = self.channels, self._drop_log
+            channels, drop_log, fans = self.channels, self._drop_log, self._fans
             for receiver, payload in out:
                 if receiver is not None:
-                    channel = (channels.get((sender, receiver))
-                               or self.channel(sender, receiver))
-                    packet = channel.make_packet(payload, send_round)
-                    if packet is None:
-                        dropped += 1
-                        if drop_log is not None:
-                            drop_log.append(_new_tuple(DropRecord, (
-                                computation, sender, receiver, send_round)))
-                        continue
-                    delivery = packet[4]
-                    by_dest = buckets[delivery]
-                    packets = by_dest.get(receiver)
-                    if packets is None:
-                        by_dest[receiver] = [packet]
-                    else:
-                        packets.append(packet)
-                    sent += 1
-                    if send_log is not None:
-                        send_log.append(_new_tuple(SendRecord, (
-                            computation, delivery, sender, receiver, send_round)))
-                    continue
-                fan = self._fans.get(sender)
-                if fan is None:
-                    fan = self._fans[sender] = [
-                        self.channel(sender, dest)
-                        for dest in self.neighbor_ids.get(sender, ())]
+                    fan = (channels.get((sender, receiver))
+                           or self.channel(sender, receiver),)
+                else:
+                    fan = fans.get(sender)
+                    if fan is None:
+                        fan = fans[sender] = [self.channel(sender, dest)
+                                              for dest in neighbors]
                 for channel in fan:
                     packet = channel.make_packet(payload, send_round)
                     if packet is None:
@@ -330,17 +303,17 @@ class Network:
                                 computation, sender, channel.receiver,
                                 send_round)))
                         continue
-                    receiver, delivery = packet[1], packet[4]
+                    dest, delivery = channel.receiver, packet[3]
                     by_dest = buckets[delivery]
-                    packets = by_dest.get(receiver)
+                    packets = by_dest.get(dest)
                     if packets is None:
-                        by_dest[receiver] = [packet]
+                        by_dest[dest] = [packet]
                     else:
                         packets.append(packet)
                     sent += 1
                     if send_log is not None:
                         send_log.append(_new_tuple(SendRecord, (
-                            computation, delivery, sender, receiver, send_round)))
+                            computation, delivery, sender, dest, send_round)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
             self.total_sent += sent
             self.total_dropped += dropped
@@ -353,12 +326,13 @@ class Network:
         return self.send(sender, ((receiver, payload),), send_round)
 
     def collect_deliverable(self, round_: int) -> dict:
-        """Packets whose delivery round has arrived, grouped by destination.
+        """Packets whose delivery round has arrived, as {receiver: [Packet]}.
 
-        Destinations come in the order their first packet for this round
-        was staged. Within a destination, packets are ordered by (sender
-        id, channel staging order): lists fill in staging order and the
-        sort is stable. Must be called once per round, in round order.
+        Receivers come in the order their first packet for this round was
+        staged. Within a receiver, packets are ordered by (sender id,
+        channel staging order): lists fill in staging order and the sort
+        is stable. A fixed law needs the sort too, since senders may be
+        staged in any order. Must be called once per round, in round order.
         """
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:
@@ -371,5 +345,5 @@ class Network:
                 packets.sort(key=_by_source)
             if deliver_log is not None:
                 deliver_log.extend([_new_tuple(DeliverRecord, (
-                    computation, p[0], p[2], dest, round_)) for p in packets])
+                    computation, p[0], p[1], dest, round_)) for p in packets])
         return by_dest

@@ -48,9 +48,10 @@ class NodeContext:
     def broadcast(self, payload) -> None:
         """Stage payload for every neighbor as one `(None, payload)`
         entry; a node with no neighbors stages nothing. `Network.send`
-        expands the entry into one message per neighbor, in the order of
-        `neighbors`, and each message gets its own loss trial and delay
-        sample there."""
+        delivers it to each neighbor, in the order of `neighbors`: on a
+        fixed law as one packet that every neighbor receives, on a drawing
+        law as one message per neighbor with its own loss trial and delay
+        sample."""
         if self.neighbors:
             self.out_buffer.append((None, payload))
 

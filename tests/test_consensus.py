@@ -3,8 +3,11 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
-from roundsim.algorithms.consensus import mean_latency, pbft_thresholds
-from roundsim.runlog import LogDocument, LogRecord
+from roundsim.algorithms.consensus import (PbftNode, mean_latency,
+                                           pbft_thresholds)
+from roundsim.network import Packet
+from roundsim.node import NodeContext
+from roundsim.runlog import LogDocument, LogRecord, RunLogger
 
 
 def consensus_config(variant, **overrides):
@@ -117,6 +120,23 @@ def test_raft_beats_pbft_on_the_same_network():
     raft = run(consensus_config("raft", roundsPerComputation=400))
     pbft = run(consensus_config("pbft", roundsPerComputation=400))
     assert mean_latency(raft)[0] < mean_latency(pbft)[0]
+
+
+def test_pbft_logs_a_conflicting_value_and_keeps_the_first():
+    # Node 1 of 4 takes leader 0's pre-prepare of value 0 for seq 0, then a
+    # prepare from node 2 that carries 5 for the same seq.
+    logger = RunLogger(["protocolError"])
+    node = PbftNode(1, 4, 0)
+    ctx = NodeContext(1, (0, 2, 3), streams=None, logger=logger)
+    for round_, packet in ((1, Packet(0, 0, 1, 1, ("pp", 0, 0))),
+                           (2, Packet(2, 1, 1, 2, ("p", 0, 5)))):
+        logger.set_position(0, round_)
+        ctx.round, ctx.in_stream = round_, [packet]
+        node.perform_computation(ctx)
+    assert [(r.round, r.node, r.payload)
+            for r in logger.document.records("protocolError")] == [
+        (2, 1, {"seq": 0, "stored": 0, "got": 5})]
+    assert node.values[0] == 0
 
 
 # metric ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ class ReferenceFabric:
     def __init__(self, adjacency, packet_for):
         self.adjacency = adjacency
         self.packet_for = packet_for
-        self.schedule = {}  # delivery round -> {dest: [Packet]}
+        self.schedule = {}  # delivery round -> {receiver: [Packet]}
         self.records = {NET_SEND: [], NET_DROP: [], NET_DELIVER: []}
         self.sent = self.delivered = self.dropped = 0
 
@@ -108,7 +108,8 @@ def drawing_law_reference(adjacency, delay, loss, fifo):
         if fifo:
             delivery = max(delivery, last[edge])
         last[edge] = delivery
-        return Packet(sender, dest, send_round, value, delivery, payload)
+        return Packet(source=sender, send_round=send_round, delay=value,
+                      delivery_round=delivery, payload=payload)
 
     ref = ReferenceFabric(adjacency, packet_for)
     ref.opened = rngs.keys()
@@ -147,14 +148,21 @@ def send_rounds(draw, adjacency, max_rounds=8, max_buffer=5):
     return rounds
 
 
+def arrivals(by_dest):
+    """One row per delivered packet, in delivery order: the receiver it
+    was filed under, then its fields."""
+    return [(dest, p.source, p.send_round, p.delay, p.delivery_round, p.payload)
+            for dest, packets in by_dest.items() for p in packets]
+
+
 def drive(net, ref, rounds, extra_rounds):
     """Send `rounds` of buffers on both, then only deliver for
     `extra_rounds` more, checking every delivery, return and counter."""
     payload = 0
     for round_, buffers in enumerate(rounds + [[]] * extra_rounds):
-        # Destination order counts too: it is the order of first staging.
-        assert list(net.collect_deliverable(round_).items()) == \
-            list(ref.collect(round_).items())
+        # Receiver order counts too: it is the order of first staging.
+        assert arrivals(net.collect_deliverable(round_)) == \
+            arrivals(ref.collect(round_))
         for sender, dests in buffers:
             out = [(dest, payload + i) for i, dest in enumerate(dests)]
             payload += len(out)

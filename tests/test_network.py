@@ -152,6 +152,13 @@ def test_delivery_sorted_by_sender_then_enqueue_order():
         (2, "y1"), (7, "x1"), (7, "x2")]
 
 
+def rows(by_dest):
+    """One row per packet of a {receiver: [Packet]} map, in its order: the
+    receiver, then the packet's fields."""
+    return [(dest, p.source, p.send_round, p.delay, p.delivery_round, p.payload)
+            for dest, packets in by_dest.items() for p in packets]
+
+
 def test_arrivals_grouped_by_destination_then_stably_by_sender():
     nodes = range(6)
     adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
@@ -159,28 +166,28 @@ def test_arrivals_grouped_by_destination_then_stably_by_sender():
     net = Network(adjacency, DelayDistribution.uniform(1, 4), 0.0,
                   StreamFactory(3, 0), logger=logger)
     rnd = random.Random(4)
-    sent, delivered = [], []
+    sent, delivered = [], []  # sent: (receiver, packet) in enqueue order
     for round_ in range(40):
         logger.set_position(0, round_)
         arrivals = net.collect_deliverable(round_)
-        # reference: this round's packets by destination in enqueue
-        # order, then stable-sorted by sender
+        # reference: this round's packets by receiver in enqueue order,
+        # then stable-sorted by sender
         expected = {}
-        for p in sent:
+        for dest, p in sent:
             if p.delivery_round == round_:
-                expected.setdefault(p.destination, []).append(p)
+                expected.setdefault(dest, []).append(p)
         for packets in expected.values():
             packets.sort(key=lambda p: p.source)
-        assert list(arrivals.items()) == list(expected.items())
+        assert rows(arrivals) == rows(expected)
         delivered += [(p.source, dest, p.send_round)
                       for dest, packets in expected.items() for p in packets]
         if round_ < 30:
             for _ in range(rnd.randint(0, 8)):
                 u = rnd.choice((0, 2, 3, 5))
                 v = rnd.choice(adjacency[u])
-                sent.append(net.enqueue(u, v, len(sent), round_))
+                sent.append((v, net.enqueue(u, v, len(sent), round_)))
     assert net.in_flight == 0 and net.total_delivered == len(sent)
-    assert len({p.destination for p in sent}) > 3
+    assert len({dest for dest, _ in sent}) > 3
     assert [(r.payload["from"], r.payload["to"], r.payload["sentRound"])
             for r in logger.document.records(NET_DELIVER)] == delivered
 
@@ -299,18 +306,50 @@ def test_fixed_delay_branch_equals_make_packet():
     assert twin.rng is None
     rnd = random.Random(2)
     send_round = 0
+    staged = []
     for i in range(200):
         send_round += rnd.choice((0, 0, 1, 2))
         payload = {"i": i}
         packet = net.enqueue(0, 1, payload, send_round)
         assert packet == twin.make_packet(payload, send_round)
         assert packet.payload is payload
-        assert (packet.source, packet.destination, packet.send_round,
-                packet.delay, packet.delivery_round) == (0, 1, send_round, 3,
-                                                         send_round + 3)
+        assert (packet.source, packet.send_round, packet.delay,
+                packet.delivery_round) == (0, send_round, 3, send_round + 3)
+        staged.append((send_round + 3, 1, 0, send_round, 3, send_round + 3,
+                       payload))
     assert net.channels == {}
-    assert Packet._fields == ("source", "destination", "send_round", "delay",
+    # Every packet arrives for receiver 1, in its delivery round.
+    assert [(round_, *row) for round_ in range(send_round + 4)
+            for row in rows(net.collect_deliverable(round_))] == staged
+    assert net.in_flight == 0
+    assert Packet._fields == ("source", "send_round", "delay",
                               "delivery_round", "payload")
+
+
+def test_fixed_law_entry_is_one_packet_filed_under_each_receiver():
+    adjacency = {0: (3, 1, 2), 1: (0,), 2: (0,), 3: (0,)}
+    net = make_network(adjacency, DelayDistribution.deterministic(2))
+    payload = {"v": 1}
+    packet = net.send(0, [(None, payload)], 5)
+    assert packet.payload is payload
+    assert (packet.source, packet.send_round, packet.delay,
+            packet.delivery_round) == (0, 5, 2, 7)
+    by_dest = net.collect_deliverable(7)
+    assert list(by_dest) == [3, 1, 2]
+    for packets in by_dest.values():
+        assert len(packets) == 1 and packets[0] is packet
+
+    # A mixed out-buffer keeps staging order at every receiver; each entry
+    # is one packet wherever it is filed.
+    net.send(0, [(None, "a"), (1, "b"), (None, "c")], 8)
+    by_dest = net.collect_deliverable(10)
+    assert {dest: [p.payload for p in packets]
+            for dest, packets in by_dest.items()} == {
+        3: ["a", "c"], 1: ["a", "b", "c"], 2: ["a", "c"]}
+    assert list(by_dest) == [3, 1, 2]
+    assert by_dest[3][0] is by_dest[1][0] is by_dest[2][0]
+    assert by_dest[3][1] is by_dest[1][2] is by_dest[2][1]
+    assert (net.total_sent, net.total_delivered) == (10, 10)
 
 
 def test_fabric_records_read_as_stamped_payloads():
