@@ -107,12 +107,15 @@ class BlockchainPeer(AlgorithmNode):
         self._next = 0           # index of the next round's byte in it
 
     def perform_computation(self, ctx):
+        seen_tx, pending = self.seen_tx, self.pending
         for packet in ctx.in_stream:
-            payload = packet.payload
-            if payload[0] == "tx":
-                self._accept_tx(payload[1])
+            kind, item = packet[4]
+            if kind == "tx":
+                if item not in seen_tx:
+                    seen_tx.add(item)
+                    pending[item] = None
             else:
-                self._accept_block(payload[1])
+                self._accept_block(item)
 
         # Every call takes the next round's trials, whether or not they
         # fire, to keep streams aligned.
@@ -159,11 +162,6 @@ class BlockchainPeer(AlgorithmNode):
         block_id = round_ * self.n + self.id
         return Block(block_id, self.id, round_, parents, tx, length)
 
-    def _accept_tx(self, tx):
-        if tx not in self.seen_tx:
-            self.seen_tx.add(tx)
-            self.pending[tx] = None
-
     def _accept_block(self, block):
         """Adopt block, and every waiting block it completes, once all its
         parents are known; until then it waits under its first unknown one."""
@@ -192,15 +190,6 @@ class BlockchainPeer(AlgorithmNode):
             self.best_len = length
             self.best_tip = block.id
 
-    @property
-    def confirmed_length(self) -> int:
-        return self.best_len
-
-
-def confirmed_blocks(peers) -> int:
-    """Minimum over peers of each peer's longest chain length."""
-    return min(peer.confirmed_length for peer in peers)
-
 
 @register
 class BlockchainFamily(Algorithm):
@@ -222,7 +211,7 @@ class BlockchainFamily(Algorithm):
                               self.streams.node(node_id).bit_generator)
 
     def end_of_round(self, round_, nodes, logger):
-        # confirmed_blocks, without a generator and a property per peer
+        # The confirmed count: the shortest of the peers' longest chains.
         count = min(map(_best_len, nodes.values()))
         logger.append(TAG_CONFIRMED, {"round": round_, "count": count})
 

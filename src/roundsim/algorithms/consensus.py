@@ -18,6 +18,8 @@ TAG_LATENCY = "latency"
 TAG_COMMIT = "commit"
 TAG_PROTOCOL_ERROR = "protocolError"
 
+_MISSING = object()  # no value stored yet for a seq
+
 
 def pbft_thresholds(n: int):
     """Standard quorums for f = floor((n-1)/3): prepares needed from other
@@ -32,6 +34,10 @@ class PbftNode(AlgorithmNode):
         self.n = n
         self.leader = leader_id
         self.is_leader = node_id == leader_id
+        # A follower acts only on arrivals: only arrivals change its counts,
+        # its quorum checks are monotone in them and guarded by commit_sent
+        # and open, so a round with no arrivals draws, logs and sends nothing.
+        self.wake_rounds = None if self.is_leader else ()
         self.prepare_needed, self.commit_needed = pbft_thresholds(n)
         self.values = {}        # seq -> value from the pre-prepare
         self.prepares = {}      # seq -> prepares received from others
@@ -45,36 +51,40 @@ class PbftNode(AlgorithmNode):
 
     def perform_computation(self, ctx):
         round_ = ctx.round
+        values, prepares, commits = self.values, self.prepares, self.commits
         for packet in ctx.in_stream:
-            kind, seq, value = packet.payload
-            if kind == "pp":
+            kind, seq, value = packet[4]
+            # Almost every message repeats the stored value; only a new
+            # seq or a conflicting value goes to _note_value.
+            if values.get(seq, _MISSING) != value:
                 self._note_value(ctx, seq, value)
+            if kind == "pp":
                 ctx.broadcast(("p", seq, value))
             elif kind == "p":
-                self._note_value(ctx, seq, value)
-                self.prepares[seq] = self.prepares.get(seq, 0) + 1
+                prepares[seq] = prepares.get(seq, 0) + 1
             else:
-                self._note_value(ctx, seq, value)
-                self.commits[seq] = self.commits.get(seq, 0) + 1
+                commits[seq] = commits.get(seq, 0) + 1
 
         if self.is_leader and self.start_round is None and self.finished_at < round_:
             value = self.seq
-            self.values[self.seq] = value
+            values[self.seq] = value
             self.open.add(self.seq)
             self.start_round = round_
             ctx.broadcast(("pp", self.seq, value))
 
+        if not self.open:
+            return
         # Quorum checks never fire in the round an instance starts.
         for seq in sorted(self.open):
             if self.is_leader and (self.start_round is None or round_ <= self.start_round):
                 continue
-            value = self.values[seq]
+            value = values[seq]
             if (seq not in self.commit_sent
-                    and self.prepares.get(seq, 0) >= self.prepare_needed):
+                    and prepares.get(seq, 0) >= self.prepare_needed):
                 self.commit_sent.add(seq)
-                self.commits[seq] = self.commits.get(seq, 0) + 1
+                commits[seq] = commits.get(seq, 0) + 1
                 ctx.broadcast(("c", seq, value))
-            if self.commits.get(seq, 0) >= self.commit_needed:
+            if commits.get(seq, 0) >= self.commit_needed:
                 self.open.discard(seq)
                 ctx.log(TAG_COMMIT, {"seq": seq, "value": value})
                 if self.is_leader:
@@ -86,12 +96,13 @@ class PbftNode(AlgorithmNode):
                     self.seq += 1
 
     def _note_value(self, ctx, seq, value):
-        if seq not in self.values:
+        """Store the value of a new seq and open it, or log a value that
+        conflicts with the stored one. The caller has ruled out a repeat."""
+        stored = self.values.get(seq, _MISSING)
+        if stored is _MISSING:
             self.values[seq] = value
             self.open.add(seq)
-            return
-        stored = self.values[seq]
-        if stored != value:
+        else:
             ctx.log(TAG_PROTOCOL_ERROR,
                     {"seq": seq, "stored": stored, "got": value})
 

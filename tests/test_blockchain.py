@@ -6,12 +6,13 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
+from roundsim.network import Packet
 from roundsim.node import NodeContext
 from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.blockchain import (
     GENESIS_ID, TAG_CONFIRMED, TRIAL_BLOCK, Block, BlockchainFamily,
-    BlockchainPeer, confirmed_blocks, throughput_series)
-from roundsim.runlog import LogDocument, LogRecord, serialize
+    BlockchainPeer, throughput_series)
+from roundsim.runlog import LogDocument, LogRecord, RunLogger, serialize
 
 
 def chain_config(**overrides):
@@ -207,9 +208,20 @@ def test_parent_index_ends_where_the_fixpoint_loop_does(trial):
     assert indexed.waiting == {} and set(indexed.known) == set(builder.known)
 
 
+def confirmed_record(peers, round_):
+    """The confirmed record the family's end_of_round writes for peers."""
+    config = chain_config()
+    family = BlockchainFamily(config, StreamFactory(config.seed, 0))
+    logger = RunLogger([TAG_CONFIRMED])
+    logger.set_position(0, round_)
+    family.end_of_round(round_, dict(enumerate(peers)), logger)
+    [rec] = logger.document.records(TAG_CONFIRMED)
+    return rec.round, rec.node, rec.payload
+
+
 def test_confirmed_blocks_is_minimum_over_peers():
     peers = [make_peer(node_id=i) for i in range(3)]
-    assert confirmed_blocks(peers) == 0
+    assert confirmed_record(peers, 0) == (0, None, {"round": 0, "count": 0})
     chain = make_peer(node_id=9)
     b1 = block(chain, 4, [GENESIS_ID])
     chain._adopt(b1)
@@ -218,8 +230,8 @@ def test_confirmed_blocks_is_minimum_over_peers():
         peer._accept_block(b1)
     peers[0]._accept_block(b2)
     peers[1]._accept_block(b2)
-    assert [p.confirmed_length for p in peers] == [2, 2, 1]
-    assert confirmed_blocks(peers) == 1
+    assert [p.best_len for p in peers] == [2, 2, 1]
+    assert confirmed_record(peers, 3) == (3, None, {"round": 3, "count": 1})
 
 
 def test_fork_counts_longest_branch_only_for_bitcoin():
@@ -230,7 +242,41 @@ def test_fork_counts_longest_branch_only_for_bitcoin():
     peer._adopt(fork)
     b2 = block(peer, 8, [4])
     peer._adopt(b2)
-    assert peer.confirmed_length == 2  # fork block not on the best chain
+    assert peer.best_len == 2  # fork block not on the best chain
+
+
+def receive(peer, round_, *payloads):
+    """Run one round of peer with payloads arriving from peer 0; its
+    trials never fire."""
+    ctx = NodeContext(peer.id, range(peer.n), streams=None, logger=None)
+    ctx.round = round_
+    ctx.in_stream = [Packet(0, round_ - 1, 1, round_, payload)
+                     for payload in payloads]
+    peer.perform_computation(ctx)
+
+
+def idle_peer(variant="bitcoin"):
+    return BlockchainPeer(1, 4, variant, 0.0, 0.0,
+                          StreamFactory(5, 0).node(1).bit_generator)
+
+
+def test_transaction_received_twice_is_queued_once():
+    peer = idle_peer()
+    receive(peer, 1, ("tx", 7), ("tx", 8))
+    assert list(peer.pending) == [7, 8]
+    peer._adopt(block(peer, 4, [GENESIS_ID], tx=7))
+    assert list(peer.pending) == [8]
+    receive(peer, 2, ("tx", 7), ("tx", 8))
+    assert list(peer.pending) == [8]
+
+
+@pytest.mark.parametrize("variant", ["bitcoin", "ethereum"])
+def test_transaction_in_an_adopted_block_is_not_queued(variant):
+    peer = idle_peer(variant)
+    receive(peer, 1, ("block", block(peer, 4, [GENESIS_ID], tx=9)))
+    receive(peer, 2, ("tx", 9), ("tx", 3))
+    assert list(peer.pending) == [3]
+    assert {3, 9} <= peer.seen_tx
 
 
 def test_equal_length_tie_prefers_lower_block_id():
@@ -258,7 +304,9 @@ class ScalarPeer(BlockchainPeer):
         for packet in ctx.in_stream:
             kind, item = packet.payload
             if kind == "tx":
-                self._accept_tx(item)
+                if item not in self.seen_tx:
+                    self.seen_tx.add(item)
+                    self.pending[item] = None
             else:
                 self._accept_block(item)
         rng = ctx.rng
@@ -320,8 +368,8 @@ def test_peer_block_does_not_grow_with_rounds(monkeypatch):
 
 
 def scalar_reference_end_of_round(self, round_, nodes, logger):
-    logger.append(TAG_CONFIRMED, {"round": round_,
-                                  "count": confirmed_blocks(nodes.values())})
+    count = min(peer.best_len for peer in nodes.values())
+    logger.append(TAG_CONFIRMED, {"round": round_, "count": count})
 
 
 @pytest.mark.parametrize("algorithm", ["bitcoin", "ethereum"])

@@ -1,13 +1,15 @@
 import pytest
 
 from roundsim.config import parse_obj
-from roundsim.engine import run
+from roundsim.engine import Engine, run
 from roundsim.errors import MetricError
-from roundsim.algorithms.consensus import (PbftNode, mean_latency,
-                                           pbft_thresholds)
+from roundsim.algorithms.consensus import (ConsensusFamily, PbftNode,
+                                           mean_latency, pbft_thresholds)
 from roundsim.network import Packet
 from roundsim.node import NodeContext
-from roundsim.runlog import LogDocument, LogRecord, RunLogger
+from roundsim.runlog import LogDocument, LogRecord, RunLogger, serialize
+
+from test_engine import always_awake
 
 
 def consensus_config(variant, **overrides):
@@ -137,6 +139,82 @@ def test_pbft_logs_a_conflicting_value_and_keeps_the_first():
             for r in logger.document.records("protocolError")] == [
         (2, 1, {"seq": 0, "stored": 0, "got": 5})]
     assert node.values[0] == 0
+
+
+def pbft_follower(*rounds):
+    """Node 1 of 4 under leader 0, fed one list of payloads per round from
+    round 1 on; returns the node, its context and its protocolError
+    records as (round, payload)."""
+    logger = RunLogger(["protocolError"])
+    node = PbftNode(1, 4, 0)
+    ctx = NodeContext(1, (0, 2, 3), streams=None, logger=logger)
+    for round_, payloads in enumerate(rounds, start=1):
+        logger.set_position(0, round_)
+        ctx.round = round_
+        ctx.in_stream = [Packet(0, round_ - 1, 1, round_, payload)
+                         for payload in payloads]
+        node.perform_computation(ctx)
+    errors = [(r.round, r.payload)
+              for r in logger.document.records("protocolError")]
+    return node, ctx, errors
+
+
+@pytest.mark.parametrize("kind", ["pp", "p", "c"])
+def test_pbft_conflict_in_any_kind_logs_once_and_keeps_the_first(kind):
+    node, ctx, errors = pbft_follower([("pp", 0, 0)], [(kind, 0, 5)])
+    assert errors == [(2, {"seq": 0, "stored": 0, "got": 5})]
+    assert node.values == {0: 0}
+    # the conflicting message is still dispatched on its kind
+    assert ctx.out_buffer.count((None, ("p", 0, 5))) == (kind == "pp")
+    assert node.prepares.get(0, 0) == (kind == "p")
+    assert node.commits.get(0, 0) == (kind == "c")
+
+
+def test_pbft_equal_repeats_log_nothing():
+    node, _, errors = pbft_follower([("pp", 0, 0)],
+                                    [("pp", 0, 0), ("p", 0, 0), ("c", 0, 0)])
+    assert errors == []
+    assert node.values == {0: 0}
+    assert (node.prepares[0], node.commits[0]) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["p", "c"])
+def test_pbft_first_value_may_come_in_any_kind(kind):
+    node, _, errors = pbft_follower([(kind, 3, 7)], [("pp", 3, 7)])
+    assert errors == []
+    assert node.values == {3: 7}
+    assert 3 in node.open
+
+
+PBFT_LAWS = {
+    "fixed-1": {"delay": {"kind": "deterministic", "value": 1}},
+    "fixed-4": {"delay": {"kind": "deterministic", "value": 4}},
+    "uniform-1-4": {"delay": {"kind": "uniform", "min": 1, "max": 4}},
+    "poisson-lossy": {"delay": {"kind": "poisson", "mean": 2.5},
+                      "lossProbability": 0.2},
+}
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+@pytest.mark.parametrize("law", sorted(PBFT_LAWS))
+def test_pbft_followers_asleep_between_arrivals_keep_the_log_bytes(
+        monkeypatch, law, n):
+    rounds, computations = 60, 2
+    config = consensus_config(
+        "pbft", topology={"kind": "complete", "nodes": n},
+        algorithmParams={"leaderId": n // 2},
+        logTags=["latency", "commit", "protocolError"],
+        roundsPerComputation=rounds, computationsPerRun=computations,
+        **PBFT_LAWS[law])
+    engine = Engine(config)
+    opted_in = serialize(engine.run())
+    assert '"latency"' in opted_in
+    if law == "fixed-4":
+        # Followers sleep 10 of every 13 rounds: both computations together
+        # take fewer calls than one with every node awake.
+        assert engine.stats["computed"] < n * rounds
+    always_awake(monkeypatch, ConsensusFamily)
+    assert serialize(run(config)) == opted_in
 
 
 # metric ----------------------------------------------------------------------
