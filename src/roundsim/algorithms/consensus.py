@@ -30,9 +30,6 @@ def pbft_thresholds(n: int):
 
 class PbftNode(AlgorithmNode):
     def __init__(self, node_id, n, leader_id):
-        self.id = node_id
-        self.n = n
-        self.leader = leader_id
         self.is_leader = node_id == leader_id
         # A follower acts only on arrivals: only arrivals change its counts,
         # its quorum checks are monotone in them and guarded by commit_sent
@@ -109,7 +106,6 @@ class PbftNode(AlgorithmNode):
 
 class RaftNode(AlgorithmNode):
     def __init__(self, node_id, n, leader_id):
-        self.id = node_id
         self.majority = n // 2 + 1
         self.leader = leader_id
         self.is_leader = node_id == leader_id

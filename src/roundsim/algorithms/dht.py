@@ -9,7 +9,6 @@ chosen from the topology stream, and needs n to be a power of two so
 the identifier space is fully populated.
 """
 
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
+from ..runlog import typed_record
 from .base import Algorithm, register
 
 CHORD = "chord"
@@ -26,9 +26,10 @@ TAG_RESOLVED = "queryResolved"
 TAG_FORWARDED = "queryForwarded"
 
 
-# The hot tags' typed records (see `roundsim.runlog`): fields in template
-# order, so a node passes the payload values sorted by key.
+# The hot tags' typed records (see `roundsim.runlog.typed_record`): a node
+# passes the payload values in field order, which is sorted by key.
 
+@typed_record(TAG_FORWARDED)
 class ForwardRecord(NamedTuple):
     """chord's `queryForwarded`: the node passed query `query` on to `to`."""
 
@@ -38,30 +39,17 @@ class ForwardRecord(NamedTuple):
     to: int
     round: int
 
-    TAG = TAG_FORWARDED
-    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"query":%d,"to":%d},'
-                '"round":%d}')
-    KEY = itemgetter(0, -1, 1)
 
-    @property
-    def payload(self) -> dict:
-        return {"query": self.query, "to": self.to}
-
-
+@typed_record(TAG_FORWARDED, constants={"fallback": False})
 class KademliaForwardRecord(ForwardRecord):
     """kademlia's `queryForwarded`. Its payload also holds `"fallback":
     false`: kademlia always finds a shortcut, and the constant stays so the
     log bytes do not change."""
 
     __slots__ = ()
-    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"fallback":false,'
-                '"query":%d,"to":%d},"round":%d}')
-
-    @property
-    def payload(self) -> dict:
-        return {"query": self.query, "to": self.to, "fallback": False}
 
 
+@typed_record(TAG_RESOLVED)
 class ResolveRecord(NamedTuple):
     """`queryResolved`: query `query` reached `target`, this node, after
     `hops` forwards."""
@@ -72,15 +60,6 @@ class ResolveRecord(NamedTuple):
     query: int
     target: int
     round: int
-
-    TAG = TAG_RESOLVED
-    TEMPLATE = ('{"computation":%d,"node":%d,"payload":{"hops":%d,"query":%d,'
-                '"target":%d},"round":%d}')
-    KEY = itemgetter(0, -1, 1)
-
-    @property
-    def payload(self) -> dict:
-        return {"query": self.query, "target": self.target, "hops": self.hops}
 
 
 def ring_next_hop(node_id: int, target: int, n: int) -> int:

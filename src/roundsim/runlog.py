@@ -9,19 +9,12 @@ twice yields identical bytes.
 
 Records come in two kinds. A `LogRecord` holds any JSON payload and is
 written with `json.dumps`. A typed record is a `NamedTuple` of ints for one
-high-volume tag; its type declares
-
-- `TAG`, the tag it is logged under;
-- `TEMPLATE`, its canonical JSON with one `%d` per field, so
-  `TEMPLATE % record` is the record's text. The fields are the values the
-  template prints, in canonical key order: `computation`, `node`, the
-  payload's values sorted by key, then `round`. A type whose `node` is
-  always None makes it a class attribute and prints `null`;
-- `KEY`, an `itemgetter` of its stamp, (computation, round) or
-  (computation, round, node), which orders a list of that type as the
-  stamp order above does;
-- `payload`, a property that builds the payload dict afresh on each read,
-  so changing that dict does not change the log.
+high-volume tag, declared by its fields and the `typed_record` decorator:
+`computation`, an optional `node`, the payload's values in the sorted
+order of their JSON keys, then `round`. The decorator derives the type's
+`TAG`, its `TEMPLATE` (its canonical JSON with one `%d` per field, so
+`TEMPLATE % record` is the record's text), its stamp `KEY` and a `payload`
+property that builds the payload dict afresh on each read.
 
 Only int fields may be typed: `%d` writes `True` and `1.0` as `1`, where
 `json.dumps` writes `true` and `1.0`. The fabric's `SendRecord`,
@@ -94,8 +87,66 @@ class LogRecord:
         }
 
 
-# Fabric records, typed as the module docstring says; their node is None.
+# The encoder of every canonical JSON text: sorted keys, no spaces, finite numbers.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
 
+
+def typed_record(tag: str, names: Optional[dict] = None,
+                 constants: Optional[dict] = None):
+    """Class decorator that makes a `NamedTuple` of ints a typed record
+    logged under `tag`.
+
+    The fields are `computation`, an optional `node`, the payload's values
+    in the sorted order of their JSON keys, then `round`. `names` maps a
+    field to its JSON key where the two differ; `constants` are payload
+    entries every record of the type holds. The decorator sets `TAG`,
+    `TEMPLATE`, `KEY`, the `payload` property and, without a node field,
+    `node = None`; it raises `TypeError` for fields out of that order or a
+    constant whose key is also a field's."""
+    names = names or {}
+    constants = dict(constants or {})
+
+    def declare(cls):
+        fields = cls._fields
+        lo = 2 if fields[1:2] == ("node",) else 1
+        keys = tuple(names.get(field, field) for field in fields[lo:-1])
+        if (fields[:1] != ("computation",) or fields[-1:] != ("round",)
+                or {"computation", "node", "round"} & set(fields[lo:-1])):
+            raise TypeError(f"{cls.__name__}: fields must be computation, "
+                            f"an optional node, the payload's, then round")
+        if list(keys) != sorted(set(keys)):
+            raise TypeError(f"{cls.__name__}: payload fields {keys} are not "
+                            f"in the sorted order of their keys")
+        if set(keys) & set(constants):
+            raise TypeError(f"{cls.__name__}: a constant's key is also a "
+                            f"field's key")
+        entries = sorted([(key, "%d") for key in keys] + [
+            (key, canonical_json(value).replace("%", "%%"))
+            for key, value in constants.items()])
+        body = ",".join(canonical_json(key).replace("%", "%%") + ":" + text
+                        for key, text in entries)
+        cls.TAG = tag
+        cls.TEMPLATE = ('{"computation":%d,"node":' + ("%d" if lo == 2 else "null")
+                        + ',"payload":{' + body + '},"round":%d}')
+        cls.KEY = itemgetter(0, -1, 1) if lo == 2 else itemgetter(0, -1)
+        if lo == 1:
+            cls.node = None
+
+        def payload(self) -> dict:
+            """The payload dict, built afresh on each read."""
+            return dict(zip(keys, self[lo:-1]), **constants)
+
+        cls.payload = property(payload)
+        return cls
+
+    return declare
+
+
+# The fabric's records; their node is None.
+
+@typed_record(NET_SEND, names={"delivery_round": "deliveryRound",
+                               "source": "from", "destination": "to"})
 class SendRecord(NamedTuple):
     """`net.send`: a message staged on a channel."""
 
@@ -105,18 +156,9 @@ class SendRecord(NamedTuple):
     destination: int
     round: int
 
-    node = None
-    TAG = NET_SEND
-    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"deliveryRound":%d,'
-                '"from":%d,"to":%d},"round":%d}')
-    KEY = itemgetter(0, -1)
 
-    @property
-    def payload(self) -> dict:
-        return {"from": self.source, "to": self.destination,
-                "deliveryRound": self.delivery_round}
-
-
+@typed_record(NET_DELIVER, names={"source": "from", "sent_round": "sentRound",
+                                  "destination": "to"})
 class DeliverRecord(NamedTuple):
     """`net.deliver`: a packet handed to its receiver."""
 
@@ -126,18 +168,8 @@ class DeliverRecord(NamedTuple):
     destination: int
     round: int
 
-    node = None
-    TAG = NET_DELIVER
-    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,'
-                '"sentRound":%d,"to":%d},"round":%d}')
-    KEY = itemgetter(0, -1)
 
-    @property
-    def payload(self) -> dict:
-        return {"from": self.source, "to": self.destination,
-                "sentRound": self.sent_round}
-
-
+@typed_record(NET_DROP, names={"source": "from", "destination": "to"})
 class DropRecord(NamedTuple):
     """`net.drop`: a message lost on its channel."""
 
@@ -145,16 +177,6 @@ class DropRecord(NamedTuple):
     source: int
     destination: int
     round: int
-
-    node = None
-    TAG = NET_DROP
-    TEMPLATE = ('{"computation":%d,"node":null,"payload":{"from":%d,"to":%d},'
-                '"round":%d}')
-    KEY = itemgetter(0, -1)
-
-    @property
-    def payload(self) -> dict:
-        return {"from": self.source, "to": self.destination}
 
 
 _new_tuple = tuple.__new__
@@ -213,11 +235,6 @@ class LogDocument:
                 records.sort(key=_order_key(set(map(type, records))))
             else:
                 del self.data[tag]
-
-
-# The encoder of every canonical JSON text: sorted keys, no spaces, finite numbers.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  allow_nan=False).encode
 
 
 def _render(rec) -> str:

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from roundsim.node import NodeContext
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              NET_TAGS, DeliverRecord, DropRecord, LogDocument,
                              LogRecord, RunLogger, SendRecord, canonical_json,
-                             serialize)
+                             serialize, typed_record)
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -267,6 +268,17 @@ def test_node_logged_fabric_tag_renders_like_the_reference():
 
 # typed records -----------------------------------------------------------------
 
+# A type that renames its fields' keys (so its field names are not in key
+# order) and holds constants between them; `%` must print as itself.
+@typed_record("test.renamed", names={"late": "a%d", "early": "z"},
+              constants={"b": None, "m": "50%"})
+class _RenamedRecord(NamedTuple):
+    computation: int
+    late: int
+    early: int
+    round: int
+
+
 # Every typed record type, with the payload dict its tag was logged with
 # before the type existed, built from the record's fields.
 OLD_PAYLOADS = {
@@ -280,6 +292,8 @@ OLD_PAYLOADS = {
                                       "fallback": False},
     ResolveRecord: lambda r: {"query": r.query, "target": r.target,
                               "hops": r.hops},
+    _RenamedRecord: lambda r: {"a%d": r.late, "b": None, "m": "50%",
+                               "z": r.early},
 }
 
 # Ints across 0, negatives and past both ends of int64.
@@ -300,6 +314,26 @@ def test_typed_record_template_is_its_canonical_json(kind, data):
     assert rec.payload is not rec.payload
     stamp = (rec.computation, rec.round)
     assert kind.KEY(rec) == (stamp if rec.node is None else stamp + (rec.node,))
+
+
+@pytest.mark.parametrize("fields, names, constants", [
+    (("computation", "node", "round", "hops"), None, None),
+    (("node", "computation", "hops", "round"), None, None),
+    (("computation", "hops", "node", "round"), None, None),
+    (("computation", "node", "hops"), None, None),
+    (("node", "hops", "round"), None, None),
+    (("computation", "node", "query", "hops", "target", "round"), None, None),
+    (("computation", "node", "query", "to", "round"), None, {"to": 0}),
+    (("computation", "node", "query", "to", "round"), {"query": "fallback"},
+     {"fallback": False}),
+], ids=["round-not-last", "computation-not-first", "node-not-second",
+        "no-round", "no-computation",
+        "payload-not-in-key-order", "constant-is-a-field",
+        "constant-is-a-renamed-field"])
+def test_typed_record_refuses_a_misdeclared_type(fields, names, constants):
+    kind = NamedTuple("Misdeclared", [(field, int) for field in fields])
+    with pytest.raises(TypeError):
+        typed_record("t", names, constants)(kind)
 
 
 def as_log_records(doc):
@@ -360,9 +394,16 @@ def test_mixed_tag_serializes_like_an_all_log_record_copy():
     assert serialize(doc) == serialize(as_log_records(doc)) == reference_serialize(doc)
 
 
-def test_chord_csv_and_log_match_an_all_log_record_copy():
-    doc = run(load_file(CONFIGS[0].parent / "chord.json"))
-    assert {type(r) for r in doc.records(TAG_FORWARDED)} == {ForwardRecord}
+# Between them the three configs log every bundled typed record type.
+@pytest.mark.parametrize("name, kinds", [
+    ("chord.json", {ForwardRecord, ResolveRecord}),
+    ("chord-lossy.json", {ForwardRecord, ResolveRecord, SendRecord,
+                          DeliverRecord, DropRecord}),
+    ("kademlia.json", {KademliaForwardRecord, ResolveRecord}),
+], ids=["chord.json", "chord-lossy.json", "kademlia.json"])
+def test_chord_csv_and_log_match_an_all_log_record_copy(name, kinds):
+    doc = run(load_file(CONFIGS[0].parent / name))
+    assert {type(r) for records in doc.data.values() for r in records} == kinds
     copy = as_log_records(doc)
     assert _doc_to_csv(doc) == _doc_to_csv(copy)
     assert serialize(doc) == serialize(copy)
