@@ -12,8 +12,6 @@ the same comparisons, made elementwise by numpy.
 
 from operator import attrgetter
 
-import numpy as np
-
 from ..config import as_probability
 from ..errors import MetricError
 from ..node import AlgorithmNode
@@ -36,10 +34,6 @@ TRIAL_BLOCK = 512
 # The bits of a round's trial byte.
 SUBMIT = 1
 MINE = 2
-
-# An explicit uint64 operand, so the shift stays uint64 under every
-# numpy's type promotion rules.
-_DOUBLE_SHIFT = np.uint64(11)
 _best_len = attrgetter("best_len")
 
 
@@ -53,7 +47,10 @@ def draw_trials(bit_generator, rounds: int, tx_probability: float,
     mine_probability. The doubles are exact and the comparisons IEEE, so
     the bytes do not depend on numpy's distribution code.
     """
-    doubles = (bit_generator.random_raw(2 * rounds) >> _DOUBLE_SHIFT) * TO_DOUBLE
+    import numpy as np
+    # An explicit uint64 operand, so the shift stays uint64 under every
+    # numpy's type promotion rules.
+    doubles = (bit_generator.random_raw(2 * rounds) >> np.uint64(11)) * TO_DOUBLE
     trials = (doubles[0::2] < tx_probability).astype(np.uint8)
     trials |= (doubles[1::2] < mine_probability).astype(np.uint8) << np.uint8(1)
     return trials.tobytes()

@@ -11,8 +11,6 @@ the identifier space is fully populated.
 
 from typing import NamedTuple
 
-import numpy as np
-
 from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
@@ -174,6 +172,7 @@ class DhtFamily(Algorithm):
         self.schedules = self._draw_schedules()
         self.shortcuts = {}
         if self.params["variant"] == KADEMLIA:
+            import numpy as np
             # Row u holds prefix_groups(u, bits); one draw over the whole
             # array takes the values of a node-by-node, group-by-group loop.
             shift = np.arange(self.bits - 1, -1, -1)

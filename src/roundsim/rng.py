@@ -23,13 +23,16 @@ and compares the doubles `Stream.random` would make of them with its
 trial probabilities elementwise in numpy. That is exact conversion and
 IEEE comparison, not numpy's distribution code, so it draws the same
 trials.
+
+numpy is imported where a generator or seed is made, in `make_stream`
+and `derive_seed`, not when this module is. A run that builds no stream
+(a fixed law with nodes that never read `ctx.rng`) never loads numpy;
+any other run loads it at its first stream.
 """
 
 from array import array
 from itertools import chain
 from math import exp, floor, log, sqrt
-
-import numpy as np
 
 # Domain separators so that e.g. node 3 and channel (0,3) never share a stream.
 NODE = 1
@@ -63,14 +66,17 @@ _LOGGAM = (8.333333333333333e-02, -2.777777777777778e-03,
            1.796443723688307e-01, -1.39243221690590e+00)
 
 
-def make_stream(seed: int, computation: int, domain: int, *key: int) -> np.random.Generator:
+def make_stream(seed: int, computation: int, domain: int,
+                *key: int) -> "numpy.random.Generator":
     """Create the generator for one (computation, entity) pair."""
+    import numpy as np
     entropy = (seed & _MASK64, computation, domain) + tuple(k & _MASK64 for k in key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def derive_seed(seed: int, domain: int, *key: int) -> int:
     """Fold a structural key into a base seed, yielding a new 64-bit seed."""
+    import numpy as np
     entropy = (seed & _MASK64, domain) + tuple(k & _MASK64 for k in key)
     state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
     return int(state[0])
@@ -83,16 +89,16 @@ class StreamFactory:
         self.seed = seed
         self.computation = computation
 
-    def node(self, node_id: int) -> np.random.Generator:
+    def node(self, node_id: int) -> "numpy.random.Generator":
         return make_stream(self.seed, self.computation, NODE, node_id)
 
-    def channel(self, sender: int, receiver: int) -> np.random.Generator:
+    def channel(self, sender: int, receiver: int) -> "numpy.random.Generator":
         return make_stream(self.seed, self.computation, CHANNEL, sender, receiver)
 
-    def workload(self) -> np.random.Generator:
+    def workload(self) -> "numpy.random.Generator":
         return make_stream(self.seed, self.computation, WORKLOAD)
 
-    def topology(self) -> np.random.Generator:
+    def topology(self) -> "numpy.random.Generator":
         return make_stream(self.seed, self.computation, TOPOLOGY)
 
 
@@ -166,7 +172,7 @@ class Stream:
 
     __slots__ = ("word", "_half")
 
-    def __init__(self, generator: np.random.Generator):
+    def __init__(self, generator: "numpy.random.Generator"):
         self.word = chain.from_iterable(_blocks(generator.bit_generator)).__next__
         # The high 32 bits of the last word whose low half a 32-bit draw
         # took, or None. Doubles read whole words and leave it alone.

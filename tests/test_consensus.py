@@ -9,6 +9,7 @@ from roundsim.network import Packet
 from roundsim.node import NodeContext
 from roundsim.runlog import LogDocument, LogRecord, RunLogger, serialize
 
+from logcheck import assert_same_log
 from test_engine import always_awake
 
 
@@ -214,7 +215,7 @@ def test_pbft_followers_asleep_between_arrivals_keep_the_log_bytes(
         # take fewer calls than one with every node awake.
         assert engine.stats["computed"] < n * rounds
     always_awake(monkeypatch, ConsensusFamily)
-    assert serialize(run(config)) == opted_in
+    assert_same_log(serialize(run(config)), opted_in)
 
 
 # metric ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from roundsim.rng import StreamFactory
 from roundsim.runlog import serialize
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, get_algorithm, register
 
+from logcheck import assert_same_log
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -109,7 +111,7 @@ def test_node_fault_aborts_the_computation():
 def test_fault_in_one_worker_mode_matches_the_other():
     config = tick_config(algorithmParams={"failAt": [1, 2]},
                          roundsPerComputation=5)
-    assert serialize(run(config)) == serialize(run(config.with_(worker_count=4)))
+    assert_same_log(serialize(run(config)), serialize(run(config.with_(worker_count=4))))
 
 
 def test_engine_stats_count_messages():
@@ -324,7 +326,7 @@ def test_fault_in_an_opted_in_node_aborts_as_when_always_awake(monkeypatch):
                                             "message": "synthetic fault"})
     assert doc.records("done") == []
     always_awake(monkeypatch, _WakeFamily)
-    assert serialize(run(wake_config(**params))) == serialize(doc)
+    assert_same_log(serialize(run(wake_config(**params))), serialize(doc))
 
 
 def test_skipping_idle_nodes_keeps_the_log_bytes(monkeypatch):
@@ -332,7 +334,7 @@ def test_skipping_idle_nodes_keeps_the_log_bytes(monkeypatch):
                   send=[[0, 5, 3], [0, 4, 0], [1, 2, 5], [3, 1, 3]], keep=[3])
     woken = serialize(run(wake_config(**params)))
     always_awake(monkeypatch, _WakeFamily)
-    assert serialize(run(wake_config(**params))) == woken
+    assert_same_log(serialize(run(wake_config(**params))), woken)
 
 
 def test_computed_counts_each_awake_node_once_per_round():
@@ -353,4 +355,4 @@ def test_bundled_config_bytes_match_with_every_node_awake(monkeypatch, path):
     config = load_file(path)
     shipped = serialize(run(config))
     always_awake(monkeypatch, get_algorithm(config.algorithm))
-    assert serialize(run(config)) == shipped
+    assert_same_log(serialize(run(config)), shipped)

@@ -18,6 +18,8 @@ from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              LogRecord, RunLogger, SendRecord, canonical_json,
                              serialize, typed_record)
 
+from logcheck import assert_same_log
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
@@ -122,7 +124,7 @@ def test_serialize_is_canonical_and_stable():
         return doc
 
     text = serialize(build())
-    assert text == serialize(build())
+    assert_same_log(text, serialize(build()))
     obj = json.loads(text)
     assert list(obj) == sorted(obj)
     assert list(obj["data"]) == ["a", "b"]
@@ -188,7 +190,7 @@ def test_bundled_configs_with_fabric_tags_match_the_reference(path):
                       else run(config).tags())
     doc = run(config.with_(log_tags=tuple(algorithm_tags) + tuple(NET_TAGS)))
     assert doc.records(NET_SEND) and doc.records(NET_DELIVER)
-    assert serialize(doc) == reference_serialize(doc)
+    assert_same_log(serialize(doc), reference_serialize(doc))
 
 
 def test_out_of_order_document_matches_the_reference_and_is_kept():
@@ -205,7 +207,7 @@ def test_out_of_order_document_matches_the_reference_and_is_kept():
                           tuple.__new__(DropRecord, (0, 0, 1, 3))]
     doc.data["t"] = [LogRecord(0, 5, 2, "b"), LogRecord(0, 5, None, "a")]
     before = {tag: list(records) for tag, records in doc.data.items()}
-    assert serialize(doc) == reference_serialize(doc)
+    assert_same_log(serialize(doc), reference_serialize(doc))
     assert doc.data == before
     assert [rec["payload"] for rec in json.loads(serialize(doc))["data"][NET_SEND]] == [
         {"from": 2, "to": 1, "deliveryRound": 2},
@@ -216,9 +218,23 @@ def test_out_of_order_document_matches_the_reference_and_is_kept():
 
 def test_empty_document_matches_the_reference():
     for doc in (LogDocument(), LogDocument(meta={"seed": 0, "a": [1]})):
-        assert serialize(doc) == reference_serialize(doc)
+        assert_same_log(serialize(doc), reference_serialize(doc))
     doc = LogDocument(data={"empty": []})
-    assert serialize(doc) == reference_serialize(doc)
+    assert_same_log(serialize(doc), reference_serialize(doc))
+
+
+def test_log_mismatch_reports_lengths_and_first_offset():
+    text = serialize(run(load_file(CONFIGS[0])))
+    assert_same_log(text, text[:], text + "")
+    changed = text[:1000] + "#" + text[1001:]
+    for other, at in ((changed, 1000), (text[:-1], len(text) - 1)):
+        with pytest.raises(AssertionError) as failure:
+            assert_same_log(text, text, other)
+        message = str(failure.value)
+        assert message.startswith(f"logs 0 and 2 differ: lengths {len(text)} "
+                                  f"and {len(other)}, first difference at "
+                                  f"offset {at}\n")
+        assert len(message) < 400
 
 
 def test_canonicalize_drops_tags_with_no_record():
@@ -257,7 +273,7 @@ def test_node_logged_fabric_tag_renders_like_the_reference():
         "lossProbability": 0.2, "roundsPerComputation": 6,
         "computationsPerRun": 2, "seed": 7, "logTags": sorted(NET_TAGS)}))
     text = serialize(doc)
-    assert text == reference_serialize(doc)
+    assert_same_log(text, reference_serialize(doc))
     sends = json.loads(text)["data"][NET_SEND]
     node_sends = [rec for rec in sends if rec["node"] is not None]
     assert len(node_sends) == 2 * 6
@@ -387,11 +403,11 @@ def test_mixed_tag_serializes_like_an_all_log_record_copy():
     assert [(r.computation, r.round, r.node) for r in records[:4]] == [
         (0, 0, None), (0, 0, 0), (0, 0, 1), (0, 0, 1)]
     text = serialize(doc)
-    assert text == serialize(as_log_records(doc)) == reference_serialize(doc)
+    assert_same_log(text, serialize(as_log_records(doc)), reference_serialize(doc))
     # out of order, the mixed tag is sorted record by record
     for tag in doc.data:
         doc.data[tag].reverse()
-    assert serialize(doc) == serialize(as_log_records(doc)) == reference_serialize(doc)
+    assert_same_log(serialize(doc), serialize(as_log_records(doc)), reference_serialize(doc))
 
 
 # Between them the three configs log every bundled typed record type.
@@ -406,5 +422,5 @@ def test_chord_csv_and_log_match_an_all_log_record_copy(name, kinds):
     assert {type(r) for records in doc.data.values() for r in records} == kinds
     copy = as_log_records(doc)
     assert _doc_to_csv(doc) == _doc_to_csv(copy)
-    assert serialize(doc) == serialize(copy)
+    assert_same_log(serialize(doc), serialize(copy))
 
