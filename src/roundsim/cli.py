@@ -18,7 +18,10 @@ from .runlog import canonical_json, serialize
 
 def _check_out(path: str) -> None:
     """Refuse an --out path that cannot be written, before anything runs:
-    a ConfigError naming the path, with the reason `open` would give."""
+    a ConfigError naming the path, with the reason `open` would give. An
+    empty path names no file, so it is refused under the option's name."""
+    if not path:
+        raise ConfigError("--out", "expected a file path, got ''")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR

@@ -12,7 +12,6 @@ from typing import Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
 from .network import DETERMINISTIC, POISSON, UNIFORM, DelayDistribution
-from .runlog import canonical_json
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -98,9 +97,6 @@ class RunConfig:
         if self.log_tags is not None:
             obj["logTags"] = sorted(self.log_tags)
         return obj
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
 
 
 def require(obj: dict, path: str):

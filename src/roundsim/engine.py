@@ -43,12 +43,13 @@ class Engine:
     def __init__(self, config):
         self.config = config
         self.family = get_algorithm(config.algorithm)
-        # "computed" counts perform_computation calls, one per awake node
-        # per round.
+        # The counts of the last run; "computed" counts perform_computation
+        # calls, one per awake node per round.
         self.stats = {"sent": 0, "delivered": 0, "dropped": 0, "computed": 0}
 
     def run(self) -> LogDocument:
         config = self.config
+        self.stats = dict.fromkeys(self.stats, 0)
         logger = RunLogger(config.log_tags)
         thresholds = gc.get_threshold()
         if 0 < thresholds[0] < GEN0_THRESHOLD:  # 0 means collection is off

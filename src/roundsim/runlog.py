@@ -7,14 +7,16 @@ sorting before node records of the same round; the sort is stable, so records
 with equal stamps keep their emission order. Serializing the same document
 twice yields identical bytes.
 
-Records come in two kinds. A `LogRecord` holds any JSON payload and is
-written with `json.dumps`. A typed record is a `NamedTuple` of ints for one
-high-volume tag, declared by its fields and the `typed_record` decorator:
-`computation`, an optional `node`, the payload's values in the sorted
-order of their JSON keys, then `round`. The decorator derives the type's
-`TAG`, its `TEMPLATE` (its canonical JSON with one `%d` per field, so
-`TEMPLATE % record` is the record's text), its stamp `KEY` and a `payload`
-property that builds the payload dict afresh on each read.
+Records come in two kinds, both `NamedTuple`s with one contract: a stamp
+sort `KEY`, a `payload` and `to_json_obj()`, the record's JSON object. A
+`LogRecord` (`computation`, `round`, `node`, `payload`) holds any JSON
+payload. A typed record is a `NamedTuple` of ints for one high-volume tag,
+declared by its fields and the `typed_record` decorator: `computation`,
+an optional `node`, the payload's values in the sorted order of their
+JSON keys, then `round`. The decorator derives the contract and the
+type's `TAG` and `TEMPLATE` (its canonical JSON with one `%d` per field,
+so `TEMPLATE % record` is the record's text); its `payload` is a dict
+built afresh on each read.
 
 Only int fields may be typed: `%d` writes `True` and `1.0` as `1`, where
 `json.dumps` writes `true` and `1.0`. The fabric's `SendRecord`,
@@ -24,12 +26,13 @@ Only int fields may be typed: `%d` writes `True` and `1.0` as `1`, where
 `RunLogger.append_record`; the logger adds the stamp, so a node never
 writes its own.
 
-`serialize` writes the document in one pass into one list of pieces. A tag
-whose records are all of one typed kind is rendered through that type's
-template with C-level `map` calls only; a tag that mixes kinds is rendered
-record by record; every other tag takes one `json.dumps` of its records.
-The renderer is chosen by record type, never by tag, so a node that logs a
-dict under a typed record's tag is written like any other record.
+`serialize` writes the document in one pass by one of two rules per tag.
+A tag of one typed kind is rendered through that type's template with
+C-level `map` calls only; every other tag (`LogRecord`s, mixed kinds, or
+none) is one `canonical_json` of its records' `to_json_obj()` list. A
+template is the canonical JSON of its record, so the rules agree. The
+rule is chosen by record type, never by tag, so a node that logs a dict
+under a typed record's tag is written like any other record.
 """
 
 import json
@@ -50,41 +53,24 @@ NET_TAGS = frozenset({NET_SEND, NET_DELIVER, NET_DROP})
 ERROR_TAG = "error"
 
 
-class LogRecord:
-    """A node's or the engine's record: the stamp and any JSON payload.
+def _sort_key(rec):
+    node = -1 if rec.node is None else rec.node
+    return (rec.computation, rec.round, node)
 
-    A plain slotted class, not a dataclass: building a dataclass costs
-    more at import than the class is worth."""
 
-    __slots__ = ("computation", "round", "node", "payload")
+class LogRecord(NamedTuple):
+    """A node's or the engine's record: the stamp and any JSON payload."""
 
-    def __init__(self, computation: int, round: int, node: Optional[int],
-                 payload: Any):
-        self.computation = computation
-        self.round = round
-        self.node = node
-        self.payload = payload
+    computation: int
+    round: int
+    node: Optional[int]
+    payload: Any
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.computation, self.round, self.node, self.payload)
-                == (other.computation, other.round, other.node, other.payload))
-
-    __hash__ = None  # mutable, compared by value
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(computation={self.computation!r}, "
-                f"round={self.round!r}, node={self.node!r}, "
-                f"payload={self.payload!r})")
+    KEY = staticmethod(_sort_key)
 
     def to_json_obj(self) -> dict:
-        return {
-            "computation": self.computation,
-            "round": self.round,
-            "node": self.node,
-            "payload": self.payload,
-        }
+        return {"computation": self.computation, "round": self.round,
+                "node": self.node, "payload": self.payload}
 
 
 # The encoder of every canonical JSON text: sorted keys, no spaces, finite numbers.
@@ -101,7 +87,8 @@ def typed_record(tag: str, names: Optional[dict] = None,
     in the sorted order of their JSON keys, then `round`. `names` maps a
     field to its JSON key where the two differ; `constants` are payload
     entries every record of the type holds. The decorator sets `TAG`,
-    `TEMPLATE`, `KEY`, the `payload` property and, without a node field,
+    `TEMPLATE` and the record contract `LogRecord` keeps too (`KEY`, the
+    `payload` property, `to_json_obj`) and, without a node field,
     `node = None`; it raises `TypeError` for fields out of that order or a
     constant whose key is also a field's."""
     names = names or {}
@@ -137,7 +124,12 @@ def typed_record(tag: str, names: Optional[dict] = None,
             """The payload dict, built afresh on each read."""
             return dict(zip(keys, self[lo:-1]), **constants)
 
+        def to_json_obj(self) -> dict:
+            return {"computation": self.computation, "node": self.node,
+                    "payload": self.payload, "round": self.round}
+
         cls.payload = property(payload)
+        cls.to_json_obj = to_json_obj
         return cls
 
     return declare
@@ -182,19 +174,10 @@ class DropRecord(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _sort_key(rec):
-    node = -1 if rec.node is None else rec.node
-    return (rec.computation, rec.round, node)
-
-
 def _order_key(kinds: set):
     """Canonical sort key for a list whose record types are `kinds`: the
-    type's own `KEY` when they are all of one typed kind."""
-    if len(kinds) == 1:
-        kind, = kinds
-        if kind is not LogRecord:
-            return kind.KEY
-    return _sort_key
+    type's own `KEY` when they are all of one kind."""
+    return next(iter(kinds)).KEY if len(kinds) == 1 else _sort_key
 
 
 class LogDocument:
@@ -237,13 +220,6 @@ class LogDocument:
                 del self.data[tag]
 
 
-def _render(rec) -> str:
-    """One record of a tag that mixes kinds."""
-    if rec.__class__ is LogRecord:
-        return canonical_json(rec.to_json_obj())
-    return rec.TEMPLATE % rec
-
-
 def serialize(doc: LogDocument) -> str:
     """Canonical JSON text: sorted keys, records in canonical order. The
     document itself is left as it is: a tag out of order is written from a
@@ -258,12 +234,12 @@ def serialize(doc: LogDocument) -> str:
         stamps = list(map(key, records))
         if not all(map(le, stamps, islice(stamps, 1, None))):
             records = sorted(records, key=key)
-        if kinds <= {LogRecord}:
+        kind = kinds.pop() if len(kinds) == 1 else None
+        template = getattr(kind, "TEMPLATE", None)
+        if template is None:
             parts.append(canonical_json([rec.to_json_obj() for rec in records]))
         else:
-            render = (kinds.pop().TEMPLATE.__mod__ if len(kinds) == 1
-                      else _render)
-            parts += ("[", ",".join(map(render, records)), "]")
+            parts += ("[", ",".join(map(template.__mod__, records)), "]")
     parts += ('},"meta":', canonical_json(dict(doc.meta, version=__version__)), "}")
     return "".join(parts)
 
@@ -315,7 +291,8 @@ class RunLogger:
         except KeyError:
             records = self.records_for(tag)
         if records is not None:
-            records.append(LogRecord(self.computation, self.round, node, payload))
+            records.append(_new_tuple(
+                LogRecord, (self.computation, self.round, node, payload)))
 
     def append_record(self, kind, node: int, values: tuple) -> None:
         """Append a typed record of `kind` under `kind.TAG`: `values` are

@@ -6,6 +6,7 @@ import pytest
 from roundsim.config import DEFAULT_SEED, load, parse_obj
 from roundsim.errors import ConfigError, UnknownAlgorithmError
 from roundsim.network import DelayDistribution
+from roundsim.runlog import canonical_json
 
 
 def minimal(**overrides):
@@ -99,7 +100,7 @@ def test_round_trip_through_json():
         seed=99,
         logTags=["latency", "commit"],
         algorithmParams={"leaderId": 2}))
-    assert load(config.to_json()) == config
+    assert load(canonical_json(config.to_json_obj())) == config
 
 
 def test_with_copies_and_overrides():

@@ -124,6 +124,15 @@ def test_engine_stats_count_messages():
     assert engine.stats["delivered"] == 4 * 3 * 2
 
 
+def test_engine_stats_count_each_run_afresh():
+    engine = Engine(tick_config())
+    engine.run()
+    first = dict(engine.stats)
+    engine.run()
+    assert engine.stats == first
+    assert first["sent"] > 0 and first["computed"] > 0
+
+
 def recorded_calls(monkeypatch, cls, name):
     """The positional arguments of every call of cls.name from now on."""
     calls, method = [], getattr(cls, name)

@@ -143,15 +143,17 @@ def test_record_json_is_stamp_and_payload():
     rec = LogRecord(0, 1, None, "p")
     assert rec.to_json_obj() == {"computation": 0, "round": 1, "node": None,
                                  "payload": "p"}
-    assert LogRecord.__slots__ == ("computation", "round", "node", "payload")
+    assert LogRecord._fields == ("computation", "round", "node", "payload")
+    assert LogRecord.KEY(rec) == (0, 1, -1)
+    assert LogRecord.KEY(rec._replace(node=4)) == (0, 1, 4)
 
 
 def test_records_and_documents_compare_and_print_by_value():
     rec = LogRecord(0, 1, None, {"k": [1]})
-    assert rec == LogRecord(0, 1, None, {"k": [1]})
+    assert rec == LogRecord(0, 1, None, {"k": [1]}) == (0, 1, None, {"k": [1]})
     for other in (LogRecord(1, 1, None, {"k": [1]}), LogRecord(0, 2, None, {"k": [1]}),
                   LogRecord(0, 1, 3, {"k": [1]}), LogRecord(0, 1, None, {"k": [2]}),
-                  (0, 1, None, {"k": [1]})):
+                  (0, 1, None)):
         assert rec != other
     assert repr(rec) == "LogRecord(computation=0, round=1, node=None, payload={'k': [1]})"
     first, second = LogDocument(), LogDocument()
@@ -163,6 +165,16 @@ def test_records_and_documents_compare_and_print_by_value():
     for value in (rec, first):
         with pytest.raises(TypeError):
             hash(value)
+    # Records are immutable: `_replace` makes an edited copy and leaves the
+    # record, and so the document, as it was.
+    with pytest.raises(AttributeError):
+        rec.payload = {"k": [2]}
+    edited = rec._replace(payload={"k": [2]})
+    assert edited == LogRecord(0, 1, None, {"k": [2]}) and type(edited) is LogRecord
+    sent = SendRecord(0, 4, 1, 2, 3)
+    assert sent._replace(round=5) == SendRecord(0, 4, 1, 2, 5)
+    assert rec.payload == {"k": [1]} and sent.round == 3
+    assert first == LogDocument(data={"t": [LogRecord(0, 1, None, {"k": [1]})]})
 
 
 def test_serialize_leaves_the_document_as_it_is():
@@ -280,6 +292,11 @@ def test_node_logged_fabric_tag_renders_like_the_reference():
     assert all(rec["node"] == 1 and rec["payload"] == {"from": 1.5, "note": "x"}
                for rec in node_sends)
     assert len(sends) > len(node_sends)
+    # The same mixed tag out of order: reversed, and led by a LogRecord of
+    # a later computation and a SendRecord of an earlier round.
+    doc.data[NET_SEND] = [LogRecord(1, 5, 1, {"from": 1.5, "note": "x"}),
+                          SendRecord(0, 2, 0, 1, 1), *reversed(doc.data[NET_SEND])]
+    assert_same_log(serialize(doc), reference_serialize(doc))
 
 
 # typed records -----------------------------------------------------------------
@@ -312,6 +329,21 @@ OLD_PAYLOADS = {
                                "z": r.early},
 }
 
+# One record of every record type, each with a stamp and payload of its own.
+CONTRACT_RECORDS = [LogRecord(2, 1, None, {"b": [1.5, None, True], "a": "x"})] + [
+    kind(*range(3, 3 + len(kind._fields)))
+    for kind in (SendRecord, DeliverRecord, DropRecord, ForwardRecord,
+                 KademliaForwardRecord, ResolveRecord)]
+
+
+@pytest.mark.parametrize("rec", CONTRACT_RECORDS,
+                         ids=[type(rec).__name__ for rec in CONTRACT_RECORDS])
+def test_record_json_obj_is_the_text_serialize_writes(rec):
+    text = serialize(LogDocument(data={"t": [rec]}))
+    assert text == ('{"data":{"t":[' + canonical_json(rec.to_json_obj()) + ']},'
+                    '"meta":' + canonical_json({"version": __version__}) + "}")
+
+
 # Ints across 0, negatives and past both ends of int64.
 INTS = st.one_of(st.integers(-2**70, 2**70),
                  st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 + 1, -2**63 - 1]))
@@ -326,6 +358,7 @@ def test_typed_record_template_is_its_canonical_json(kind, data):
     assert rec.TEMPLATE % rec == canonical_json({
         "computation": rec.computation, "node": rec.node, "payload": old,
         "round": rec.round})
+    assert canonical_json(rec.to_json_obj()) == rec.TEMPLATE % rec
     assert rec.payload == old
     assert rec.payload is not rec.payload
     stamp = (rec.computation, rec.round)

@@ -383,12 +383,14 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "bench --threads 1"])
-@pytest.mark.parametrize("target,reason", [
-    ("missing/out.json", "No such file or directory"),
-    (".", "Is a directory"),
-], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("target,message", [
+    ("missing/out.json", "{out}: No such file or directory"),
+    (".", "{out}: Is a directory"),
+    (None, "--out: expected a file path, got ''"),
+], ids=["missing-directory", "directory", "empty"])
 def test_cli_bad_out_exits_2_before_running(tmp_path, capsys, monkeypatch,
-                                            command, target, reason):
+                                            command, target, message):
+    """`target` is the --out path under tmp_path, or None for an empty one."""
     obj = sweep_obj(points=[1]) if command == "sweep" else run_config_obj()
     source = write_json(tmp_path / "in.json", obj)
 
@@ -396,10 +398,10 @@ def test_cli_bad_out_exits_2_before_running(tmp_path, capsys, monkeypatch,
         raise AssertionError("ran with an unwritable --out")
 
     monkeypatch.setattr(Engine, "run", no_run)
-    out = str(tmp_path / target)
+    out = "" if target is None else str(tmp_path / target)
     assert main([*command.split(), source, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err == f"sim: {out}: {reason}\n"
+    assert err == "sim: " + message.format(out=out) + "\n"
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
