@@ -7,7 +7,9 @@ RunConfig always carries the full topology and re-serializes canonically.
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
@@ -33,6 +35,11 @@ MAX_CHANNELS = 1 << 22
 # Largest accepted number of DHT queries drawn up front for one
 # computation (roundsPerComputation x queriesPerRound).
 MAX_SCHEDULED_QUERIES = 1 << 24
+
+# Deepest accepted nesting of arrays and objects in a config or sweep
+# file. The bundled files nest at most 5 deep; far deeper documents
+# exhaust the recursion of `json` and of `copy.deepcopy`.
+MAX_NESTING = 64
 
 _TOP_LEVEL_KEYS = {
     "algorithm", "topology", "delay", "lossProbability",
@@ -305,12 +312,28 @@ def parse_obj(obj: dict) -> RunConfig:
     return config
 
 
+# The runs of a JSON text that hold no array or object bracket: strings,
+# whose brackets are text, and everything between them.
+_NOT_BRACKETS = re.compile(r'(?:"[^"\\]*(?:\\.[^"\\]*)*"|[^"\[\]{}]+)+')
+
+
 def decode(text: str):
-    """The JSON value in text; malformed JSON is a ConfigError."""
+    """The JSON value in text; malformed JSON, or JSON whose arrays and
+    objects nest deeper than MAX_NESTING, is a ConfigError."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"malformed JSON: {exc}") from None
+    except RecursionError:
+        depth = math.inf
+    else:
+        # Counted over the brackets outside strings, so no check recurses.
+        depth = max(accumulate(1 if bracket in "[{" else -1
+                               for bracket in _NOT_BRACKETS.sub("", text)),
+                    default=0)
+    if depth > MAX_NESTING:
+        raise ConfigError("", f"JSON nested deeper than {MAX_NESTING} levels")
+    return value
 
 
 def load(text: str) -> RunConfig:

@@ -4,15 +4,15 @@ Each round is three strict phases: receive (collect the round's
 arrivals), compute (every awake node acts once, in ascending id order,
 with its arrivals as its in-stream), send (stage the awake nodes'
 outboxes into the fabric in ascending sender order, one `Network.send`
-call per sender with a non-empty out-buffer). A broadcast sits in the
-out-buffer as one `(None, payload)` entry, which that call expands into
-one message per neighbour, in neighbour order. On a fixed law
-(deterministic delay, no loss) that call files all its messages under
-one delivery round, `value` rounds later, and opens no channel; only a
-drawing law opens channels. Each node's context shares the fabric's
-neighbour map for that node.
+call per sender with a non-empty out-buffer; a broadcast is one
+`(None, payload)` entry, which the fabric expands in neighbour order).
 Execution is serial: workerCount is accepted and validated but does not
 change how a run executes, so the log is the same for any value of it.
+
+The computation is the unit of output: each runs in a `RunLogger` fixed
+to its index and hands back that logger's lists in canonical order, and
+`run` joins them per tag in computation order. Computation is the first
+sort key and the sort is stable, so the join is the run's canonical order.
 
 Wake contract: a node whose `wake_rounds` is None is awake every round. A
 node that sets it to a container of round numbers is awake in those
@@ -50,22 +50,24 @@ class Engine:
     def run(self) -> LogDocument:
         config = self.config
         self.stats = dict.fromkeys(self.stats, 0)
-        logger = RunLogger(config.log_tags)
+        data = {}
         thresholds = gc.get_threshold()
         if 0 < thresholds[0] < GEN0_THRESHOLD:  # 0 means collection is off
             gc.set_threshold(GEN0_THRESHOLD, *thresholds[1:])
         try:
             for computation in range(config.computations_per_run):
-                self._run_computation(computation, logger)
+                for tag, records in self._run_computation(computation).items():
+                    joined = data.setdefault(tag, records)
+                    if joined is not records:
+                        joined += records
         finally:
             gc.set_threshold(*thresholds)
-        doc = logger.document
-        doc.meta = config.to_json_obj(include_workers=False)
-        doc.canonicalize()
-        return doc
+        return LogDocument(config.to_json_obj(include_workers=False), data)
 
-    def _run_computation(self, computation: int, logger) -> None:
+    def _run_computation(self, computation: int) -> dict:
+        """Tag -> the computation's records in canonical order, if any."""
         config = self.config
+        logger = RunLogger(config.log_tags, computation)
         streams = StreamFactory(config.seed, computation)
         algo = self.family(config, streams)
         adjacency = algo.adjacency()
@@ -84,7 +86,7 @@ class Engine:
             by_id = {member[0]: member for member in members}
 
         for round_ in range(config.rounds_per_computation):
-            logger.set_position(computation, round_)
+            logger.round = round_
 
             # Receive and compute: a node's in-stream is the list of
             # packets due to it this round, set right before it acts.
@@ -107,11 +109,8 @@ class Engine:
                         fault = (nid, exc)
             if fault is not None:
                 nid, exc = fault
-                logger.append(ERROR_TAG, {
-                    "node": nid,
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                }, node=nid)
+                logger.append(ERROR_TAG, {"node": nid, "type": type(exc).__name__,
+                                          "message": str(exc)}, node=nid)
                 break
 
             # Send: each out-buffer enters the fabric in one call, in
@@ -131,6 +130,8 @@ class Engine:
         self.stats["sent"] += network.total_sent
         self.stats["delivered"] += network.total_delivered
         self.stats["dropped"] += network.total_dropped
+        logger.document.canonicalize()
+        return logger.document.data
 
 
 def _wake_schedule(members):

@@ -1,10 +1,12 @@
 """Tagged run log with canonical JSON serialization.
 
 Every record carries the engine-maintained (computation, round, node) stamp;
-callers only choose a tag and a JSON-compatible payload. Canonical order is
-(computation, round, node) per tag, with engine-level records (node = None)
-sorting before node records of the same round; the sort is stable, so records
-with equal stamps keep their emission order. Serializing the same document
+callers only choose a tag and a JSON-compatible payload. A logger serves
+one computation: its index is fixed when the logger is built, and the
+engine moves only its round. Canonical order is (computation, round,
+node) per tag, with engine-level records (node = None) sorting before
+node records of the same round; the sort is stable, so records with
+equal stamps keep their emission order. Serializing the same document
 twice yields identical bytes.
 
 Records come in two kinds, both `NamedTuple`s with one contract: a stamp
@@ -245,14 +247,16 @@ def serialize(doc: LogDocument) -> str:
 
 
 class RunLogger:
-    """Collects records during a run, stamping them with engine state.
+    """Collects the records of one computation, stamping them with its
+    index and the engine's current `round`.
 
     Nodes append through NodeContext.log and NodeContext.log_record as
     they compute. The engine runs them one at a time, so emission order
-    within (computation, round, node) is the order the node logged in.
+    within (round, node) is the order the node logged in.
     """
 
-    def __init__(self, enabled_tags: Optional[Iterable[str]] = None):
+    def __init__(self, enabled_tags: Optional[Iterable[str]] = None,
+                 computation: int = 0):
         # None means "all algorithm tags"; fabric trace tags stay opt-in.
         self.enabled_tags = None if enabled_tags is None else frozenset(enabled_tags)
         self.document = LogDocument()
@@ -260,7 +264,7 @@ class RunLogger:
         # tag is disabled; filled in when a tag is first appended to or
         # handed to the fabric.
         self._records = {}
-        self.computation = 0
+        self.computation = computation
         self.round = 0
 
     def enabled(self, tag: str) -> bool:
@@ -270,20 +274,14 @@ class RunLogger:
             return tag not in NET_TAGS
         return tag in self.enabled_tags
 
-    def set_position(self, computation: int, round_: int) -> None:
-        self.computation = computation
-        self.round = round_
-
     def records_for(self, tag: str) -> Optional[list]:
         """The tag's record list in the document, or None when the tag is
         disabled; resolved once per tag. The fabric appends its records
         to these lists itself."""
-        try:
-            return self._records[tag]
-        except KeyError:
-            records = self._records[tag] = (
-                self.document.data.setdefault(tag, []) if self.enabled(tag) else None)
-            return records
+        if tag not in self._records:
+            self._records[tag] = (self.document.data.setdefault(tag, [])
+                                  if self.enabled(tag) else None)
+        return self._records[tag]
 
     def append(self, tag: str, payload, node: Optional[int] = None) -> None:
         try:

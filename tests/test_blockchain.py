@@ -212,8 +212,8 @@ def confirmed_record(peers, round_):
     """The confirmed record the family's end_of_round writes for peers."""
     config = chain_config()
     family = BlockchainFamily(config, StreamFactory(config.seed, 0))
-    logger = RunLogger([TAG_CONFIRMED])
-    logger.set_position(0, round_)
+    logger = RunLogger([TAG_CONFIRMED], 0)
+    logger.round = round_
     family.end_of_round(round_, dict(enumerate(peers)), logger)
     [rec] = logger.document.records(TAG_CONFIRMED)
     return rec.round, rec.node, rec.payload

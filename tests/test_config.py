@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from roundsim.config import DEFAULT_SEED, load, parse_obj
+from roundsim.config import DEFAULT_SEED, MAX_NESTING, decode, load, parse_obj
 from roundsim.errors import ConfigError, UnknownAlgorithmError
 from roundsim.network import DelayDistribution
 from roundsim.runlog import canonical_json
@@ -196,3 +196,13 @@ def test_config_error_message_includes_path():
     err = ConfigError("delay.value", "must be >= 1")
     assert str(err) == "delay.value: must be >= 1"
     assert str(ConfigError("", "root broken")) == "root broken"
+
+
+def test_decode_refuses_nesting_past_the_bound_and_ignores_brackets_in_strings():
+    def nested(depth):  # an object holding objects, a list innermost
+        return '{"k": ' * (depth - 1) + '["[[{\\"", "]}"]' + "}" * (depth - 1)
+
+    assert decode(nested(MAX_NESTING)) is not None
+    with pytest.raises(ConfigError,
+                       match=f"^JSON nested deeper than {MAX_NESTING} levels$"):
+        decode(nested(MAX_NESTING + 1))

@@ -128,12 +128,12 @@ def test_raft_beats_pbft_on_the_same_network():
 def test_pbft_logs_a_conflicting_value_and_keeps_the_first():
     # Node 1 of 4 takes leader 0's pre-prepare of value 0 for seq 0, then a
     # prepare from node 2 that carries 5 for the same seq.
-    logger = RunLogger(["protocolError"])
+    logger = RunLogger(["protocolError"], 0)
     node = PbftNode(1, 4, 0)
     ctx = NodeContext(1, (0, 2, 3), streams=None, logger=logger)
     for round_, packet in ((1, Packet(0, 0, 1, 1, ("pp", 0, 0))),
                            (2, Packet(2, 1, 1, 2, ("p", 0, 5)))):
-        logger.set_position(0, round_)
+        logger.round = round_
         ctx.round, ctx.in_stream = round_, [packet]
         node.perform_computation(ctx)
     assert [(r.round, r.node, r.payload)
@@ -146,11 +146,11 @@ def pbft_follower(*rounds):
     """Node 1 of 4 under leader 0, fed one list of payloads per round from
     round 1 on; returns the node, its context and its protocolError
     records as (round, payload)."""
-    logger = RunLogger(["protocolError"])
+    logger = RunLogger(["protocolError"], 0)
     node = PbftNode(1, 4, 0)
     ctx = NodeContext(1, (0, 2, 3), streams=None, logger=logger)
     for round_, payloads in enumerate(rounds, start=1):
-        logger.set_position(0, round_)
+        logger.round = round_
         ctx.round = round_
         ctx.in_stream = [Packet(0, round_ - 1, 1, round_, payload)
                          for payload in payloads]

@@ -255,8 +255,8 @@ def test_node_handles_same_round_queries_in_qid_order():
         for origin, schedule in sorted(family.schedules.items())
         for round_, entries in sorted(schedule.items())
         if len(entries) >= 2 and all(target != origin for _, target in entries))
-    logger = RunLogger()
-    logger.set_position(0, round_)
+    logger = RunLogger(None, 0)
+    logger.round = round_
     ctx = NodeContext(origin, config.adjacency[origin], None, logger)
     ctx.round = round_
     family.create_node(origin).perform_computation(ctx)

@@ -164,13 +164,13 @@ def rows(by_dest):
 def test_arrivals_grouped_by_destination_then_stably_by_sender():
     nodes = range(6)
     adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
-    logger = RunLogger([NET_DELIVER])
+    logger = RunLogger([NET_DELIVER], 0)
     net = Network(adjacency, DelayDistribution.uniform(1, 4), 0.0,
                   StreamFactory(3, 0), logger=logger)
     rnd = random.Random(4)
     sent, delivered = [], []  # sent: (receiver, packet) in enqueue order
     for round_ in range(40):
-        logger.set_position(0, round_)
+        logger.round = round_
         arrivals = net.collect_deliverable(round_)
         # reference: this round's packets by receiver in enqueue order,
         # then stable-sorted by sender
@@ -267,7 +267,7 @@ def test_one_send_per_sender_matches_per_message_enqueues():
     adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
 
     def fabric():
-        logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+        logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], 0)
         return logger, Network(adjacency, DelayDistribution.poisson(2.5), 0.1,
                                StreamFactory(8, 0), logger=logger)
 
@@ -280,7 +280,7 @@ def test_one_send_per_sender_matches_per_message_enqueues():
     payload_id = 0
     for round_ in range(40):
         for log in (log_a, log_b):
-            log.set_position(0, round_)
+            log.round = round_
         assert batched.collect_deliverable(round_) == \
             single.collect_deliverable(round_)
         for sender in nodes:
@@ -357,14 +357,14 @@ def test_fixed_law_entry_is_one_packet_filed_under_each_receiver():
 def test_fabric_records_read_as_stamped_payloads():
     nodes = range(5)
     adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
-    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], 2)
     net = Network(adjacency, DelayDistribution.poisson(2.0), 0.2,
                   StreamFactory(4, 2), logger=logger)
     rnd = random.Random(9)
     # (computation, round, node, payload) as the dict-per-message trace had them
     expected = {NET_SEND: [], NET_DROP: [], NET_DELIVER: []}
     for round_ in range(30):
-        logger.set_position(2, round_)
+        logger.round = round_
         for dest, packets in net.collect_deliverable(round_).items():
             expected[NET_DELIVER] += [
                 (2, round_, None, {"from": p.source, "to": dest,

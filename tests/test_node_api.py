@@ -78,8 +78,8 @@ def test_unicast_stages_the_neighbor_id():
 
 
 def test_log_respects_tag_filter():
-    logger = RunLogger(("keep",))
-    logger.set_position(2, 7)
+    logger = RunLogger(("keep",), 2)
+    logger.round = 7
     ctx = NodeContext(4, (1, 2), streams=None, logger=logger)
     ctx.log("keep", {"v": 1})
     ctx.log("drop", {"v": 2})

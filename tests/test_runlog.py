@@ -84,8 +84,8 @@ def test_only_appended_enabled_tags_reach_the_document():
 
 
 def test_records_stamped_with_engine_position():
-    logger = RunLogger()
-    logger.set_position(2, 17)
+    logger = RunLogger(None, 2)
+    logger.round = 17
     logger.append("t", "x", node=4)
     rec = logger.document.records("t")[0]
     assert (rec.computation, rec.round, rec.node) == (2, 17, 4)
@@ -103,8 +103,8 @@ def test_canonical_order():
 
 
 def test_node_records_keep_emission_order_after_engine_records():
-    logger = RunLogger()
-    logger.set_position(0, 1)
+    logger = RunLogger(None, 0)
+    logger.round = 1
     high, low = (NodeContext(nid, (), None, logger) for nid in (3, 1))
     high.log("a", "first")
     logger.append("a", "engine")
@@ -393,8 +393,8 @@ def as_log_records(doc):
 
 
 def test_typed_records_are_logged_with_the_loggers_stamp():
-    logger = RunLogger()
-    logger.set_position(2, 17)
+    logger = RunLogger(None, 2)
+    logger.round = 17
     ctx = NodeContext(4, (), None, logger)
     ctx.log_record(ForwardRecord, 9, 5)
     ctx.log_record(ResolveRecord, 3, 8, 4)

@@ -266,6 +266,12 @@ DELAY_SWEEP = ('{"base": {"algorithm": "raft", "topology": {"kind": '
 
 IS_DIRECTORY = object()
 
+# Far deeper than config.MAX_NESTING: 200 000 brackets exhaust json's
+# recursion, and a list 600 deep decodes but exhausts copy.deepcopy's.
+UNCLOSED_BRACKETS = b"[" * 200_000
+DEEP_LIST = "[" * 600 + "]" * 600
+TOO_DEEP = "sim: JSON nested deeper than 64 levels"
+
 PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
                '"nodes": 4}, "roundsPerComputation": 5, '
                '"algorithmParams": {%s}}')
@@ -355,6 +361,13 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
     ("run", None, "in.json: No such file or directory"),
     ("sweep", None, "in.json: No such file or directory"),
     ("bench --threads 1", None, "in.json: No such file or directory"),
+    ("run", UNCLOSED_BRACKETS, TOO_DEEP),
+    ("sweep", UNCLOSED_BRACKETS, TOO_DEEP),
+    ("run", ('{"algorithm": "raft", "roundsPerComputation": 5, "topology": '
+             '{"kind": "complete", "nodes": 3}, "algorithmParams": {"x": %s}}'
+             % DEEP_LIST).encode(), TOO_DEEP),
+    ("sweep", (DELAY_SWEEP % ('"algorithmParams": {"x": %s}' % DEEP_LIST)
+               ).encode(), TOO_DEEP),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -366,7 +379,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "sweep-variant-repeated", "sweep-algorithm-not-string",
         "sweep-axis-algorithm", "sweep-axis-variant", "run-directory",
         "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
-        "bench-missing"])
+        "bench-missing", "run-unclosed-brackets", "sweep-unclosed-brackets",
+        "run-params-nested-600", "sweep-params-nested-600"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
