@@ -3,6 +3,8 @@
 Loading is a pure function of the document text. Generator shorthands
 ("complete", "ring") expand to explicit adjacency lists, so a loaded
 RunConfig always carries the full topology and re-serializes canonically.
+The rows of a generated topology share one tuple of int ids: a complete
+row is two slices of it, so the n^2 entries are references to n ints.
 """
 
 import json
@@ -165,6 +167,12 @@ def _parse_topology(obj) -> dict:
         raw = obj["adjacency"]
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("topology.adjacency", "expected a non-empty object")
+        from .topology import checked_rows  # deferred: see roundsim.topology
+
+        adjacency = checked_rows(raw)
+        if adjacency is not None:
+            return adjacency
+        # Entry by entry, to name the first fault as the loop finds it.
         adjacency = {}
         for key, neighbors in raw.items():
             try:
@@ -201,11 +209,17 @@ def _parse_topology(obj) -> dict:
     n = as_int(require(obj, "topology.nodes"), "topology.nodes", minimum=1)
     check_channel_count(n * (n - 1) if kind == "complete" else 2 * n,
                         f"a {kind} topology of {n} nodes")
+    ids = tuple(range(n))
     if kind == "complete":
-        return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+        return {u: ids[:u] + ids[u + 1:] for u in ids}
     if n < 2:
         raise ConfigError("topology.nodes", "a ring needs at least 2 nodes")
-    return {u: tuple(sorted({(u - 1) % n, (u + 1) % n})) for u in range(n)}
+    # Row u is (u - 1, u + 1) mod n, ascending but for the first and last
+    # rows, which wrap around (and for n = 2 name one neighbour twice).
+    rows = dict(zip(ids, zip(ids[-1:] + ids[:-1], ids[1:] + ids[:1])))
+    for u in {0, n - 1}:
+        rows[u] = tuple(sorted(set(rows[u])))
+    return rows
 
 
 def _parse_delay(obj) -> DelayDistribution:

@@ -22,9 +22,15 @@ that same packet under each of its receivers. On a drawing law each
 receiver gets its own packet from its channel, with its own loss trial
 and delay. Packets are filed under their delivery round and receiver, so
 delivery is one lookup per round and idle edges cost nothing; a packet
-does not name its receiver, since the bucket key does. The network holds
-one neighbour map per node; the engine hands the same map to the node's
-`NodeContext`, so a node's membership is held once.
+does not name its receiver, since the bucket key does. A broadcast reads
+the sender's neighbour tuple from the adjacency it was built with.
+
+Membership is held as `{neighbour id: the same id}` maps, which the engine
+hands to each node's `NodeContext`, so the fabric and the node share them.
+On a complete topology (every node's row lists every other id in
+ascending order) all nodes share one map of every id, so membership costs
+n entries, not n^2; a send to oneself, which that map would admit, is
+refused by comparing ids. Any other adjacency has one map per node.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -203,8 +209,20 @@ class Network:
         # sender -> its channels in neighbour order, opened on its first
         # broadcast; drawing laws only
         self._fans = {}
-        # node -> {neighbour id: the same id}; shared with the node's context
-        self.neighbor_ids = {u: {v: v for v in vs} for u, vs in adjacency.items()}
+        from .topology import lists_all_others  # deferred: see roundsim.topology
+
+        self._adjacency = adjacency
+        # node -> {neighbour id: the same id}, shared with the node's
+        # context. On a complete topology every node has the one map of
+        # all ids, self._everyone, which holds the node's own id too.
+        ids = tuple(sorted(adjacency))
+        if lists_all_others(ids, list(map(adjacency.get, ids))):
+            self._everyone = {u: u for u in ids}
+            self.neighbor_ids = dict.fromkeys(ids, self._everyone)
+        else:
+            self._everyone = None
+            self.neighbor_ids = {u: {v: v for v in vs}
+                                 for u, vs in adjacency.items()}
         self._fixed = not _draws(delay, loss_probability)
         self._value = delay.value
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
@@ -231,7 +249,9 @@ class Network:
         """The sender's channel to receiver, opened if it is not yet."""
         channel = self.channels.get((sender, receiver))
         if channel is None:
-            if receiver not in self.neighbor_ids.get(sender, ()):
+            neighbors = self.neighbor_ids.get(sender, ())
+            if receiver not in neighbors or (receiver == sender
+                                             and neighbors is self._everyone):
                 raise _no_channel(sender, receiver)
             channel = self.channels[(sender, receiver)] = self._open(sender, receiver)
         return channel
@@ -249,27 +269,30 @@ class Network:
         its channel's `Channel.make_packet`; a broadcast walks the
         sender's channels, all opened on its first broadcast. An unknown
         edge raises mid-buffer, and the messages staged before it stay
-        counted.
+        counted. The topology's shape was resolved when the network was
+        built: a send looks up only the sender's map.
         """
         buckets, send_log = self._buckets, self._send_log
         computation = self._computation
-        neighbors = self.neighbor_ids.get(sender, ())
         packet = None
         sent = dropped = 0
         try:
             if self._fixed:
+                neighbors = self.neighbor_ids.get(sender, ())
                 value = self._value
                 delivery = send_round + value
                 by_dest = buckets[delivery]
                 for receiver, payload in out:
                     if receiver is not None:
-                        if receiver not in neighbors:
+                        if receiver not in neighbors or (
+                                receiver == sender
+                                and neighbors is self._everyone):
                             raise _no_channel(sender, receiver)
                         dests = (receiver,)
-                    elif neighbors:
-                        dests = neighbors
                     else:
-                        continue
+                        dests = self._adjacency.get(sender, ())
+                        if not dests:
+                            continue
                     packet = _new_tuple(Packet, (sender, send_round, value,
                                                  delivery, payload))
                     for dest in dests:
@@ -292,8 +315,9 @@ class Network:
                 else:
                     fan = fans.get(sender)
                     if fan is None:
-                        fan = fans[sender] = [self.channel(sender, dest)
-                                              for dest in neighbors]
+                        fan = fans[sender] = [
+                            self.channel(sender, dest)
+                            for dest in self._adjacency.get(sender, ())]
                 for channel in fan:
                     packet = channel.make_packet(payload, send_round)
                     if packet is None:

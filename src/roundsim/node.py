@@ -19,16 +19,23 @@ from .rng import Stream
 
 class NodeContext:
     __slots__ = ("id", "neighbors", "in_stream", "out_buffer", "round",
-                 "_neighbor_ids", "_logger", "_rng", "_streams")
+                 "_neighbor_ids", "_own", "_logger", "_rng", "_streams")
 
     def __init__(self, node_id: int, neighbors: tuple, streams, logger,
                  neighbor_ids=None):
         self.id = node_id
         self.neighbors = tuple(neighbors)
         # {neighbour id: the same id}; the engine passes the fabric's map
-        # for this node, so the two share it.
-        self._neighbor_ids = ({nid: nid for nid in neighbors}
-                              if neighbor_ids is None else neighbor_ids)
+        # for this node, so the two share it. On a complete topology that
+        # is the one map of all ids, shared by every node: it holds more
+        # ids than the node has neighbours, its own among them, and _own
+        # is the map's entry for that id, which unicast refuses. A map of
+        # the node's neighbours alone holds its id only for a self-loop.
+        if neighbor_ids is None:
+            neighbor_ids = {nid: nid for nid in self.neighbors}
+        self._neighbor_ids = neighbor_ids
+        self._own = (neighbor_ids.get(node_id)
+                     if len(neighbor_ids) > len(self.neighbors) else None)
         self.in_stream = ()
         self.out_buffer = []
         self.round = 0
@@ -60,10 +67,10 @@ class NodeContext:
         staged, so a destination that only equals it (a numpy integer,
         say) reaches the fabric and its trace as that int."""
         nid = self._neighbor_ids.get(dest)
-        if nid is None:
+        if nid is None or nid is self._own:
             raise SimulationError(
                 f"node {self.id} has no channel to {dest}; neighbors are "
-                f"{sorted(self._neighbor_ids)}")
+                f"{sorted(self.neighbors)}")
         self.out_buffer.append((nid, payload))
 
     def log(self, tag: str, payload) -> None:

@@ -35,6 +35,10 @@ none) is one `canonical_json` of its records' `to_json_obj()` list. A
 template is the canonical JSON of its record, so the rules agree. The
 rule is chosen by record type, never by tag, so a node that logs a dict
 under a typed record's tag is written like any other record.
+
+The `meta` header is one `canonical_json` call too, except for the
+adjacency of a complete topology, which `roundsim.topology` writes from
+one joined text of the ids.
 """
 
 import json
@@ -242,7 +246,9 @@ def serialize(doc: LogDocument) -> str:
             parts.append(canonical_json([rec.to_json_obj() for rec in records]))
         else:
             parts += ("[", ",".join(map(template.__mod__, records)), "]")
-    parts += ('},"meta":', canonical_json(dict(doc.meta, version=__version__)), "}")
+    from .topology import meta_parts  # deferred: see roundsim.topology
+
+    parts += ('},"meta":', *meta_parts(dict(doc.meta, version=__version__)), "}")
     return "".join(parts)
 
 

@@ -45,6 +45,85 @@ def test_explicit_adjacency_keeps_neighbor_order():
     assert config.adjacency[0] == (2, 1)
 
 
+def old_complete(n):
+    return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+
+
+def old_ring(n):
+    return {u: tuple(sorted({(u - 1) % n, (u + 1) % n})) for u in range(n)}
+
+
+@pytest.mark.parametrize("kind,sizes,comprehension", [
+    ("complete", range(1, 65), old_complete),
+    ("ring", range(2, 65), old_ring),
+])
+def test_generated_rows_equal_the_comprehensions(kind, sizes, comprehension):
+    for n in sizes:
+        adjacency = parse_obj(minimal(
+            topology={"kind": kind, "nodes": n})).adjacency
+        # The same nodes in the same order, each with the same row.
+        assert list(adjacency.items()) == list(comprehension(n).items())
+        assert all(type(row) is tuple and all(type(v) is int for v in row)
+                   for row in adjacency.values())
+
+
+@pytest.mark.parametrize("kind", ["complete", "ring"])
+def test_generated_rows_share_one_int_per_id(kind):
+    # Ids above 256 are not cached by the interpreter, so this holds only
+    # if every row is built from the same int objects.
+    adjacency = parse_obj(minimal(
+        topology={"kind": kind, "nodes": 300})).adjacency
+    assert len({id(v) for row in adjacency.values() for v in row}) == 300
+
+
+def complete_rows(n):
+    return {str(u): [v for v in range(n) if v != u] for u in range(n)}
+
+
+@pytest.mark.parametrize("adjacency", [
+    complete_rows(1),
+    complete_rows(12),
+    dict(complete_rows(5), **{"2": [4, 3, 1, 0]}),      # one row permuted
+    {"0": [0, 1], "1": [0], "2": [1, 0]},                 # a self-loop
+    {str(u): [(u - 1) % 6, (u + 1) % 6] for u in range(6)},
+    {"7": [], "3": [7], "12": [3, 7]},                    # sparse, unsorted
+], ids=["complete-1", "complete-12", "permuted", "self-loop", "ring-6",
+        "sparse"])
+def test_explicit_adjacency_is_kept_row_for_row(adjacency):
+    config = parse_obj(minimal(topology={"adjacency": adjacency}))
+    assert list(config.adjacency.items()) == [
+        (int(key), tuple(row)) for key, row in adjacency.items()]
+
+
+@pytest.mark.parametrize("adjacency,path,message", [
+    ({"0": [True, 2], "1": [0, 2], "2": [0, 1]},
+     "topology.adjacency.0", "expected an integer, got True"),
+    ({"0": [1, 2], "1": [0, 2.0], "2": [0, 1]},
+     "topology.adjacency.1", "expected an integer, got 2.0"),
+    ({"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3.0], "3": [0, 1, 2]},
+     "topology.adjacency.2", "expected an integer, got 3.0"),
+    ({"0": [1], "1": [False], "2": []},
+     "topology.adjacency.1", "expected an integer, got False"),
+    ({"0": ["1"], "1": [0]},
+     "topology.adjacency.0", "expected an integer, got '1'"),
+    ({"0": [1, 1], "1": [0], "2": []},
+     "topology.adjacency.0", "duplicate neighbor 1"),
+    ({"0": [1, 5], "1": [0]},
+     "topology.adjacency.0", "neighbor 5 is not a declared node"),
+    # "01" is node 1 again: its row is checked, though the later one wins.
+    ({"0": [1], "01": [True], "1": [0]},
+     "topology.adjacency.1", "expected an integer, got True"),
+    # The first fault in document order is named, a row before a key.
+    ({"0": [True], "x": []}, "topology.adjacency.0", "expected an integer, got True"),
+    ({"x": [], "0": [True]}, "topology.adjacency", "node id 'x' is not an integer"),
+    ({"0": [1], "1": 0}, "topology.adjacency.1", "expected a list"),
+])
+def test_explicit_adjacency_faults_are_named_exactly(adjacency, path, message):
+    with pytest.raises(ConfigError) as err:
+        parse_obj(minimal(topology={"adjacency": adjacency}))
+    assert (err.value.path, err.value.message) == (path, message)
+
+
 @pytest.mark.parametrize("bad,path_part", [
     ({"lossProbability": 1.5}, "lossProbability"),
     ({"lossProbability": -0.1}, "lossProbability"),

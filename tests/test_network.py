@@ -237,6 +237,43 @@ def test_channels_open_on_first_send():
         net.channel(1, 2)
 
 
+def complete(n):
+    return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+
+
+@pytest.mark.parametrize("delay", [DelayDistribution.deterministic(1),
+                                   DelayDistribution.uniform(1, 2)],
+                         ids=["fixed", "drawing"])
+def test_complete_topology_refuses_a_send_to_oneself(delay):
+    net = make_network(complete(4), delay)
+    # Every node holds the one map of all ids, its own among them.
+    assert len({id(ids) for ids in net.neighbor_ids.values()}) == 1
+    assert net.neighbor_ids[0] == {0: 0, 1: 1, 2: 2, 3: 3}
+    with pytest.raises(ConfigError, match="topology: no channel 1->1"):
+        net.send(1, [(0, "a"), (1, "b"), (2, "c")], 0)
+    assert (net.total_sent, net.in_flight) == (1, 1)
+    with pytest.raises(ConfigError, match="topology: no channel 2->2"):
+        net.channel(2, 2)
+    # Broadcasts go to the neighbours alone, in row order.
+    net.send(3, [(None, "d")], 1)
+    assert net.total_sent == 4
+    assert sorted((dest, p.payload) for r in range(1, 5)
+                  for dest, ps in net.collect_deliverable(r).items()
+                  for p in ps) == [
+        (0, "a"), (0, "d"), (1, "d"), (2, "d")]
+
+
+@pytest.mark.parametrize("delay", [DelayDistribution.deterministic(1),
+                                   DelayDistribution.uniform(1, 2)],
+                         ids=["fixed", "drawing"])
+def test_explicit_self_loop_still_carries_messages(delay):
+    net = make_network({0: (0, 1), 1: (0,)}, delay)
+    net.send(0, [(0, "self"), (None, "all")], 0)
+    assert net.total_sent == 3
+    with pytest.raises(ConfigError, match="no channel 1->1"):
+        net.send(1, [(1, "x")], 0)
+
+
 def test_network_counters():
     net = make_network({0: (1,), 1: (0,)}, DelayDistribution.deterministic(1),
                        loss=1.0)

@@ -77,6 +77,49 @@ def test_unicast_stages_the_neighbor_id():
     assert [type(dest) for dest, _ in ctx.out_buffer] == [int, int]
 
 
+def complete_contexts(n, delay):
+    adjacency = {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+    net = Network(adjacency, delay, 0.0, StreamFactory(1, 0))
+    return net, {u: NodeContext(u, adjacency[u], None, RunLogger(),
+                                net.neighbor_ids[u]) for u in adjacency}
+
+
+@pytest.mark.parametrize("delay", LAWS, ids=["fixed", "drawing"])
+def test_complete_topology_unicast_stages_the_int_id(delay):
+    net, ctxs = complete_contexts(5, delay)
+    ctx = ctxs[1]
+    ctx.unicast(np.int64(3), "a")
+    ctx.unicast(3.0, "b")
+    assert ctx.out_buffer == [(3, "a"), (3, "b")]
+    assert [type(dest) for dest, _ in ctx.out_buffer] == [int, int]
+    net.send(1, ctx.out_buffer, 0)
+    assert [p.payload for p in net.collect_deliverable(1)[3]] == ["a", "b"]
+
+
+def test_complete_topology_refuses_a_unicast_to_oneself():
+    _, ctxs = complete_contexts(5, LAWS[0])
+    for own in (2, np.int64(2), 2.0):
+        with pytest.raises(SimulationError) as err:
+            ctxs[2].unicast(own, "x")
+        assert str(err.value) == (f"node 2 has no channel to {own}; "
+                                  f"neighbors are [0, 1, 3, 4]")
+    assert ctxs[2].out_buffer == []
+    # The map is shared: node 1 may still reach node 2.
+    ctxs[1].unicast(2, "y")
+    assert ctxs[1].out_buffer == [(2, "y")]
+
+
+def test_explicit_self_loop_still_unicasts():
+    adjacency = {0: (0, 1), 1: (0,)}
+    net = Network(adjacency, LAWS[0], 0.0, StreamFactory(1, 0))
+    ctx = NodeContext(0, adjacency[0], None, RunLogger(), net.neighbor_ids[0])
+    ctx.unicast(0, "self")
+    assert ctx.out_buffer == [(0, "self")]
+    with pytest.raises(SimulationError, match=r"neighbors are \[0\]"):
+        NodeContext(1, adjacency[1], None, RunLogger(),
+                    net.neighbor_ids[1]).unicast(1, "x")
+
+
 def test_log_respects_tag_filter():
     logger = RunLogger(("keep",), 2)
     logger.round = 7

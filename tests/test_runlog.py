@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roundsim._version import __version__
-from roundsim.algorithms.base import Algorithm, AlgorithmNode, register
+from roundsim.algorithms.base import (Algorithm, AlgorithmNode, get_algorithm,
+                                      register)
 from roundsim.algorithms.dht import (TAG_FORWARDED, ForwardRecord,
                                      KademliaForwardRecord, ResolveRecord)
 from roundsim.cli import _doc_to_csv
 from roundsim.config import load_file, parse_obj
 from roundsim.engine import run
 from roundsim.node import NodeContext
+from roundsim.rng import StreamFactory
+from roundsim.topology import meta_parts
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              NET_TAGS, DeliverRecord, DropRecord, LogDocument,
                              LogRecord, RunLogger, SendRecord, canonical_json,
@@ -233,6 +236,87 @@ def test_empty_document_matches_the_reference():
         assert_same_log(serialize(doc), reference_serialize(doc))
     doc = LogDocument(data={"empty": []})
     assert_same_log(serialize(doc), reference_serialize(doc))
+
+
+def complete_meta_adjacency(n):
+    return {str(u): [v for v in range(n) if v != u] for u in range(n)}
+
+
+def kademlia_merged_adjacency():
+    config = parse_obj({"algorithm": "kademlia", "roundsPerComputation": 5,
+                        "topology": {"kind": "ring", "nodes": 16}})
+    family = get_algorithm("kademlia")(config, StreamFactory(config.seed, 0))
+    merged = family.adjacency()
+    assert merged != config.adjacency  # the shortcuts added channels
+    return {str(u): list(vs) for u, vs in merged.items()}
+
+
+def permuted_row(n, node):
+    adjacency = complete_meta_adjacency(n)
+    adjacency[str(node)].reverse()
+    return adjacency
+
+
+META_ADJACENCIES = {
+    "complete-1": complete_meta_adjacency(1),
+    "complete-2": complete_meta_adjacency(2),
+    "complete-11": complete_meta_adjacency(11),
+    "complete-23": complete_meta_adjacency(23),
+    "explicit-complete": parse_obj({
+        "algorithm": "raft", "roundsPerComputation": 1,
+        "topology": {"adjacency": complete_meta_adjacency(13)}}
+    ).to_json_obj()["topology"]["adjacency"],
+    "permuted-row": permuted_row(12, 10),
+    "self-loop": {"0": [0, 1], "1": [0, 2], "2": [0, 1]},
+    "kademlia-merged": kademlia_merged_adjacency(),
+    "bool": {"0": [True], "1": [0]},
+    "bool-first": {"0": [1, 2], "1": [False, 2], "2": [0, 1]},
+    "float-first": {"0": [1, 2], "1": [0, 2], "2": [0.0, 1]},
+    "float": {"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3.0], "3": [0, 1, 2]},
+    "tuple-rows": {"0": (1,), "1": (0,)},
+    "padded-key": {"00": [1], "1": [0]},
+    "negative": {"-1": [0], "0": [-1]},
+    "missing-node": {"0": [1], "1": [2], "3": [0]},
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("meta", [
+    {"algorithm": "raft", "seed": 1},
+    {},
+    {"a": [1], "zeta": {"b": 2}},
+], ids=["engine-like", "topology-only", "keys-around"])
+@pytest.mark.parametrize("name", list(META_ADJACENCIES))
+def test_meta_adjacency_is_written_as_canonical_json(meta, name):
+    doc = LogDocument(meta=dict(
+        meta, topology={"adjacency": META_ADJACENCIES[name]}))
+    assert serialize(doc) == ('{"data":{},"meta":' + canonical_json(
+        dict(doc.meta, version=__version__)) + "}")
+
+
+def test_only_complete_adjacencies_are_cut_from_the_joined_ids():
+    cut = {name for name, adjacency in META_ADJACENCIES.items()
+           if len(meta_parts({"topology": {"adjacency": adjacency}})) > 1}
+    assert cut == {"complete-1", "complete-2", "complete-11", "complete-23",
+                   "explicit-complete"}
+
+
+def test_meta_topology_with_other_keys_is_written_as_canonical_json():
+    topology = {"adjacency": complete_meta_adjacency(3), "kind": "complete"}
+    doc = LogDocument(meta={"topology": topology})
+    assert serialize(doc) == ('{"data":{},"meta":' + canonical_json(
+        dict(doc.meta, version=__version__)) + "}")
+
+
+def test_explicit_complete_run_writes_the_generated_runs_bytes():
+    def config(topology):
+        return parse_obj({"algorithm": "raft", "roundsPerComputation": 6,
+                          "topology": topology, "logTags": ["commit"]})
+
+    generated = run(config({"kind": "complete", "nodes": 12}))
+    explicit = run(config({"adjacency": complete_meta_adjacency(12)}))
+    assert_same_log(serialize(explicit), serialize(generated),
+                    reference_serialize(generated))
 
 
 def test_log_mismatch_reports_lengths_and_first_offset():
