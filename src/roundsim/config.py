@@ -1,10 +1,12 @@
 """Experiment configuration: JSON schema, validation, topology expansion.
 
-Loading is a pure function of the document text. Generator shorthands
-("complete", "ring") expand to explicit adjacency lists, so a loaded
-RunConfig always carries the full topology and re-serializes canonically.
-The rows of a generated topology share one tuple of int ids: a complete
-row is two slices of it, so the n^2 entries are references to n ints.
+Loading is a pure function of the document text. The parser is the one
+place that decides a topology's shape. `{"kind": "complete", "nodes": n}`
+becomes a `CompleteAdjacency`, whose rows are slices of one tuple of int
+ids, and `RunConfig.to_json_obj` writes it back as that shorthand, so a
+copy made by `with_` never expands it. A ring expands to its rows, which
+share the same kind of id tuple. An explicit adjacency is held row for
+row, whatever its shape, and written back as rows.
 """
 
 import json
@@ -15,7 +17,8 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
-from .network import DETERMINISTIC, POISSON, UNIFORM, DelayDistribution
+from .network import (DETERMINISTIC, POISSON, UNIFORM, CompleteAdjacency,
+                      DelayDistribution)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -59,7 +62,9 @@ _DELAY_KEYS = {DETERMINISTIC: {"kind", "value"}, UNIFORM: {"kind", "min", "max"}
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: str
-    adjacency: dict            # node id -> ordered tuple of neighbor ids
+    # node id -> ordered tuple of neighbor ids; a CompleteAdjacency when
+    # the topology is {"kind": "complete", ...}
+    adjacency: dict
     delay: DelayDistribution
     loss_probability: float
     rounds_per_computation: int
@@ -90,10 +95,14 @@ class RunConfig:
     def to_json_obj(self, include_workers: bool = True) -> dict:
         # The log header omits workerCount: it does not change execution,
         # and logs must be byte-identical across worker counts.
+        adjacency = self.adjacency
         obj = {
             "algorithm": self.algorithm,
-            "topology": {"adjacency": {str(u): list(vs) for u, vs in
-                                       sorted(self.adjacency.items())}},
+            "topology": (
+                {"kind": "complete", "nodes": len(adjacency)}
+                if type(adjacency) is CompleteAdjacency else
+                {"adjacency": {str(u): list(vs) for u, vs in
+                               sorted(adjacency.items())}}),
             "delay": self.delay.to_json(),
             "lossProbability": self.loss_probability,
             "roundsPerComputation": self.rounds_per_computation,
@@ -182,6 +191,9 @@ def _parse_topology(obj) -> dict:
                                   f"node id {key!r} is not an integer") from None
             if node < 0:
                 raise ConfigError("topology.adjacency", f"negative node id {node}")
+            if node in adjacency:
+                raise ConfigError("topology.adjacency",
+                                  f"node id {key!r} repeats node {node}")
             if not isinstance(neighbors, list):
                 raise ConfigError(f"topology.adjacency.{node}", "expected a list")
             seen = set()
@@ -209,11 +221,11 @@ def _parse_topology(obj) -> dict:
     n = as_int(require(obj, "topology.nodes"), "topology.nodes", minimum=1)
     check_channel_count(n * (n - 1) if kind == "complete" else 2 * n,
                         f"a {kind} topology of {n} nodes")
-    ids = tuple(range(n))
     if kind == "complete":
-        return {u: ids[:u] + ids[u + 1:] for u in ids}
+        return CompleteAdjacency(n)
     if n < 2:
         raise ConfigError("topology.nodes", "a ring needs at least 2 nodes")
+    ids = tuple(range(n))
     # Row u is (u - 1, u + 1) mod n, ascending but for the first and last
     # rows, which wrap around (and for n = 2 name one neighbour twice).
     rows = dict(zip(ids, zip(ids[-1:] + ids[:-1], ids[1:] + ids[:1])))

@@ -27,10 +27,11 @@ the sender's neighbour tuple from the adjacency it was built with.
 
 Membership is held as `{neighbour id: the same id}` maps, which the engine
 hands to each node's `NodeContext`, so the fabric and the node share them.
-On a complete topology (every node's row lists every other id in
-ascending order) all nodes share one map of every id, so membership costs
-n entries, not n^2; a send to oneself, which that map would admit, is
-refused by comparing ids. Any other adjacency has one map per node.
+On a complete topology, whose adjacency the config parser built as a
+`CompleteAdjacency`, all nodes share one map of every id, so membership
+costs n entries, not n^2; a send to oneself, which that map would admit,
+is refused by comparing ids. Any other adjacency, an explicit one that
+lists every other node included, has one map per node.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -138,6 +139,20 @@ def _no_channel(sender, receiver) -> ConfigError:
     return ConfigError("topology", f"no channel {sender}->{receiver}")
 
 
+class CompleteAdjacency(dict):
+    """The adjacency of a complete topology over nodes 0..n-1: row u lists
+    every id but u, ascending. The rows are two slices each of one tuple
+    of ids, so the n^2 entries are references to n ints. The config
+    parser builds one only for `{"kind": "complete", "nodes": n}`, so the
+    type is the shape: no layer compares rows to learn it."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        ids = tuple(range(n))
+        super().__init__((u, ids[:u] + ids[u + 1:]) for u in ids)
+
+
 class Channel:
     """Unicast link from one sender to one receiver.
 
@@ -209,16 +224,13 @@ class Network:
         # sender -> its channels in neighbour order, opened on its first
         # broadcast; drawing laws only
         self._fans = {}
-        from .topology import lists_all_others  # deferred: see roundsim.topology
-
         self._adjacency = adjacency
         # node -> {neighbour id: the same id}, shared with the node's
         # context. On a complete topology every node has the one map of
         # all ids, self._everyone, which holds the node's own id too.
-        ids = tuple(sorted(adjacency))
-        if lists_all_others(ids, list(map(adjacency.get, ids))):
-            self._everyone = {u: u for u in ids}
-            self.neighbor_ids = dict.fromkeys(ids, self._everyone)
+        if type(adjacency) is CompleteAdjacency:
+            self._everyone = {u: u for u in adjacency}
+            self.neighbor_ids = dict.fromkeys(adjacency, self._everyone)
         else:
             self._everyone = None
             self.neighbor_ids = {u: {v: v for v in vs}

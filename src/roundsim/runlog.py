@@ -37,8 +37,9 @@ rule is chosen by record type, never by tag, so a node that logs a dict
 under a typed record's tag is written like any other record.
 
 The `meta` header is one `canonical_json` call too, except for the
-adjacency of a complete topology, which `roundsim.topology` writes from
-one joined text of the ids.
+complete shorthand `{"kind": "complete", "nodes": n}`, which
+`roundsim.topology` writes as the adjacency it stands for, from one
+joined text of the ids.
 """
 
 import json

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from roundsim.config import DEFAULT_SEED, MAX_NESTING, decode, load, parse_obj
+from roundsim.engine import run
 from roundsim.errors import ConfigError, UnknownAlgorithmError
-from roundsim.network import DelayDistribution
+from roundsim.network import CompleteAdjacency, DelayDistribution
 from roundsim.runlog import canonical_json
 
 
@@ -110,13 +112,24 @@ def test_explicit_adjacency_is_kept_row_for_row(adjacency):
      "topology.adjacency.0", "duplicate neighbor 1"),
     ({"0": [1, 5], "1": [0]},
      "topology.adjacency.0", "neighbor 5 is not a declared node"),
-    # "01" is node 1 again: its row is checked, though the later one wins.
+    # "01" is node 1, named first: its row's fault is found before the key
+    # "1" would be refused for naming node 1 again.
     ({"0": [1], "01": [True], "1": [0]},
      "topology.adjacency.1", "expected an integer, got True"),
     # The first fault in document order is named, a row before a key.
     ({"0": [True], "x": []}, "topology.adjacency.0", "expected an integer, got True"),
     ({"x": [], "0": [True]}, "topology.adjacency", "node id 'x' is not an integer"),
     ({"0": [1], "1": 0}, "topology.adjacency.1", "expected a list"),
+    # A second key for one node is refused, however its text is written,
+    # and before its row is read.
+    ({"0": [1], "1": [0], "01": [0]},
+     "topology.adjacency", "node id '01' repeats node 1"),
+    ({"0": [1], " 1": [0], "1": [0]},
+     "topology.adjacency", "node id '1' repeats node 1"),
+    ({"0": [1], "1": [0], "+1": [0]},
+     "topology.adjacency", "node id '+1' repeats node 1"),
+    ({"00": [], "0": [True]},
+     "topology.adjacency", "node id '0' repeats node 0"),
 ])
 def test_explicit_adjacency_faults_are_named_exactly(adjacency, path, message):
     with pytest.raises(ConfigError) as err:
@@ -189,6 +202,23 @@ def test_with_copies_and_overrides():
     assert config.seed == 7
     assert other.adjacency == config.adjacency
     assert config.with_(worker_count=4).worker_count == 4
+
+
+def test_a_complete_topology_stays_a_shape_through_copies():
+    shorthand = {"kind": "complete", "nodes": 6}
+    config = parse_obj(minimal(topology=shorthand))
+    assert type(config.adjacency) is CompleteAdjacency
+    assert config.to_json_obj()["topology"] == shorthand
+    copy = config.with_(worker_count=2)
+    assert type(copy.adjacency) is CompleteAdjacency
+    assert copy == replace(config, worker_count=2)
+    assert run(config).meta["topology"] == shorthand
+    # The same rows given explicitly are held and written back as rows.
+    rows = {str(u): [v for v in range(6) if v != u] for u in range(6)}
+    explicit = parse_obj(minimal(topology={"adjacency": rows}))
+    assert explicit.adjacency == config.adjacency
+    assert type(explicit.with_(worker_count=2).adjacency) is dict
+    assert explicit.to_json_obj()["topology"] == {"adjacency": rows}
 
 
 def test_with_validates_like_parse_obj():

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roundsim.network import (DETERMINISTIC, UNIFORM, Channel,
-                              DelayDistribution, Network, Packet)
+                              CompleteAdjacency, DelayDistribution, Network,
+                              Packet)
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
@@ -121,7 +122,7 @@ def adjacencies(draw, max_nodes=12):
     n = draw(st.integers(2, max_nodes))
     kind = draw(st.sampled_from(("complete", "ring", "explicit")))
     if kind == "complete":
-        return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+        return CompleteAdjacency(n)  # the parser's type, so the map is shared
     if kind == "ring":
         return {u: tuple(sorted({(u - 1) % n, (u + 1) % n})) for u in range(n)}
     # Explicit: sparse ids, neighbours in any order, self-loops allowed.

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from roundsim.errors import ConfigError
-from roundsim.network import (Channel, DelayDistribution, Network, Packet,
-                              sample_delay)
+from roundsim.network import (Channel, CompleteAdjacency, DelayDistribution,
+                              Network, Packet, sample_delay)
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
 
@@ -237,15 +237,11 @@ def test_channels_open_on_first_send():
         net.channel(1, 2)
 
 
-def complete(n):
-    return {u: tuple(v for v in range(n) if v != u) for u in range(n)}
-
-
 @pytest.mark.parametrize("delay", [DelayDistribution.deterministic(1),
                                    DelayDistribution.uniform(1, 2)],
                          ids=["fixed", "drawing"])
 def test_complete_topology_refuses_a_send_to_oneself(delay):
-    net = make_network(complete(4), delay)
+    net = make_network(CompleteAdjacency(4), delay)
     # Every node holds the one map of all ids, its own among them.
     assert len({id(ids) for ids in net.neighbor_ids.values()}) == 1
     assert net.neighbor_ids[0] == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -261,6 +257,18 @@ def test_complete_topology_refuses_a_send_to_oneself(delay):
                   for dest, ps in net.collect_deliverable(r).items()
                   for p in ps) == [
         (0, "a"), (0, "d"), (1, "d"), (2, "d")]
+
+
+def test_an_explicit_complete_adjacency_keeps_a_map_per_node():
+    # Only the parser's CompleteAdjacency is shared; the same rows in a
+    # plain dict are held row for row.
+    net = make_network(dict(CompleteAdjacency(4)),
+                       DelayDistribution.deterministic(1))
+    assert len({id(ids) for ids in net.neighbor_ids.values()}) == 4
+    assert net.neighbor_ids[0] == {1: 1, 2: 2, 3: 3}
+    with pytest.raises(ConfigError, match="topology: no channel 1->1"):
+        net.send(1, [(0, "a"), (1, "b")], 0)
+    assert (net.total_sent, net.in_flight) == (1, 1)
 
 
 @pytest.mark.parametrize("delay", [DelayDistribution.deterministic(1),

@@ -4,7 +4,7 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import SimulationError
-from roundsim.network import DelayDistribution, Network
+from roundsim.network import CompleteAdjacency, DelayDistribution, Network
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_SEND, RunLogger
@@ -78,7 +78,7 @@ def test_unicast_stages_the_neighbor_id():
 
 
 def complete_contexts(n, delay):
-    adjacency = {u: tuple(v for v in range(n) if v != u) for u in range(n)}
+    adjacency = CompleteAdjacency(n)
     net = Network(adjacency, delay, 0.0, StreamFactory(1, 0))
     return net, {u: NodeContext(u, adjacency[u], None, RunLogger(),
                                 net.neighbor_ids[u]) for u in adjacency}

@@ -28,12 +28,20 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.js
 
 def reference_serialize(doc):
     """The plain serializer: every record as a dict, sorted by stamp, and
-    the whole document through one json.dumps."""
+    the whole document through one json.dumps. The complete shorthand in
+    `meta` is written as its rows, expanded here from range(n)."""
     def key(rec):
         return (rec.computation, rec.round, -1 if rec.node is None else rec.node)
 
+    meta = dict(doc.meta, version=__version__)
+    topology = meta.get("topology")
+    if (isinstance(topology, dict) and topology.keys() == {"kind", "nodes"}
+            and topology["kind"] == "complete"
+            and type(topology["nodes"]) is int and topology["nodes"] >= 1):
+        meta["topology"] = {"adjacency": complete_meta_adjacency(
+            topology["nodes"])}
     obj = {
-        "meta": dict(doc.meta, version=__version__),
+        "meta": meta,
         "data": {tag: [{"computation": r.computation, "round": r.round,
                         "node": r.node, "payload": r.payload}
                        for r in sorted(doc.data[tag], key=key)]
@@ -294,11 +302,24 @@ def test_meta_adjacency_is_written_as_canonical_json(meta, name):
         dict(doc.meta, version=__version__)) + "}")
 
 
-def test_only_complete_adjacencies_are_cut_from_the_joined_ids():
-    cut = {name for name, adjacency in META_ADJACENCIES.items()
-           if len(meta_parts({"topology": {"adjacency": adjacency}})) > 1}
-    assert cut == {"complete-1", "complete-2", "complete-11", "complete-23",
-                   "explicit-complete"}
+def test_only_the_complete_shorthand_is_cut_from_the_joined_ids():
+    arounds = [{}, {"algorithm": "raft", "seed": 1}, {"a": [1], "zeta": {"b": 2}}]
+    for around in arounds:
+        for n in (1, 2, 11, 23):
+            parts = meta_parts(dict(
+                around, topology={"kind": "complete", "nodes": n}))
+            assert len(parts) > 1
+            assert "".join(parts) == canonical_json(dict(
+                around, topology={"adjacency": complete_meta_adjacency(n)}))
+        # Anything but the exact shorthand is written as it is.
+        for topology in ({"kind": "complete", "nodes": True},
+                         {"kind": "complete", "nodes": 0},
+                         {"kind": "complete", "nodes": 2.0},
+                         {"kind": "complete", "nodes": 3, "x": 1},
+                         {"kind": "ring", "nodes": 3},
+                         {"adjacency": complete_meta_adjacency(3)}):
+            meta = dict(around, topology=topology)
+            assert meta_parts(meta) == [canonical_json(meta)]
 
 
 def test_meta_topology_with_other_keys_is_written_as_canonical_json():

@@ -331,6 +331,9 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
             b'"delay": {"kind": "uniform", "min": 1, '
             b'"max": 99999999999999999999}}',
      "delay.max: must be <= 9223372036854775807, got 99999999999999999999"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 5, '
+            b'"topology": {"adjacency": {"0": [1], "1": [0], "01": [0]}}}',
+     "sim: topology.adjacency: node id '01' repeats node 1"),
     ("run", b'{"algorithm": "abp", "roundsPerComputation": 5, '
             b'"topology": {"kind": "complete", "nodes": 2}, '
             b'"algorithmParams": {"timeoutLimit": null}}',
@@ -375,7 +378,7 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "leader-misspelled", "sweep-seed-not-int", "sweep-seed-negative",
         "sweep-seed-above-64-bits", "sweep-params-not-object",
         "ring-without-nodes", "uniform-without-max", "uniform-max-above-int64",
-        "timeout-limit-null", "sweep-without-algorithm",
+        "adjacency-key-repeated", "timeout-limit-null", "sweep-without-algorithm",
         "sweep-variant-repeated", "sweep-algorithm-not-string",
         "sweep-axis-algorithm", "sweep-axis-variant", "run-directory",
         "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
