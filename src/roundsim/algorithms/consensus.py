@@ -8,6 +8,7 @@ instance starts the round after the previous one commits.
 
 from ..config import as_int
 from ..errors import ConfigError, MetricError
+from ..network import CompleteAdjacency
 from ..node import AlgorithmNode
 from .base import Algorithm, register
 
@@ -155,6 +156,8 @@ class ConsensusFamily(Algorithm):
         if leader not in config.adjacency:
             raise ConfigError("algorithmParams.leaderId",
                               f"{leader!r} is not a declared node")
+        if type(config.adjacency) is CompleteAdjacency:
+            return  # every row but the leader's holds the leader
         for nid, neighbors in config.adjacency.items():
             if nid != leader and leader not in neighbors:
                 raise ConfigError("topology",

@@ -6,7 +6,10 @@ becomes a `CompleteAdjacency`, whose rows are slices of one tuple of int
 ids, and `RunConfig.to_json_obj` writes it back as that shorthand, so a
 copy made by `with_` never expands it. A ring expands to its rows, which
 share the same kind of id tuple. An explicit adjacency is held row for
-row, whatever its shape, and written back as rows.
+row, whatever its shape, and written back as rows. It is checked in one
+pass over its rows, in document order, which names the first bad key or
+row; then each row's neighbours must be declared nodes, and its
+channels, the sum of its row lengths, are held to MAX_CHANNELS.
 """
 
 import json
@@ -32,9 +35,10 @@ MAX_POISSON_MEAN = 1e9
 # ends, so max + 1 must not exceed 2^63.
 MAX_UNIFORM_DELAY = 2 ** 63 - 1
 
-# Largest accepted number of directed channels in one computation. Runs
-# above it are refused before the topology is expanded; the largest
-# benchmark cell (raft on complete n=400) uses 159 600.
+# Largest accepted number of directed channels in one computation. A
+# generated topology above it is refused before it is expanded, an
+# explicit one once its rows are checked; the largest benchmark cell
+# (raft on complete n=400) uses 159 600.
 MAX_CHANNELS = 1 << 22
 
 # Largest accepted number of DHT queries drawn up front for one
@@ -156,11 +160,12 @@ def reject_unknown_keys(obj: dict, prefix: str, allowed) -> None:
         raise ConfigError(prefix + min(unknown), "unknown key")
 
 
-def check_channel_count(count: int, what: str) -> None:
+def check_channel_count(count: int, what: str,
+                        path: str = "topology.nodes") -> None:
     """Refuse a run whose computations would hold more than MAX_CHANNELS
-    channels; what names the topology in the message."""
+    channels, at path; what names the topology in the message."""
     if count > MAX_CHANNELS:
-        raise ConfigError("topology.nodes",
+        raise ConfigError(path,
                           f"{what} has {count} channels, above the limit "
                           f"of {MAX_CHANNELS}")
 
@@ -176,14 +181,11 @@ def _parse_topology(obj) -> dict:
         raw = obj["adjacency"]
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("topology.adjacency", "expected a non-empty object")
-        from .topology import checked_rows  # deferred: see roundsim.topology
-
-        adjacency = checked_rows(raw)
-        if adjacency is not None:
-            return adjacency
-        # Entry by entry, to name the first fault as the loop finds it.
+        # One pass in document order: a row of distinct ints is taken at
+        # C speed, and only a row that fails that test is read entry by
+        # entry, to name its first fault.
         adjacency = {}
-        for key, neighbors in raw.items():
+        for key, row in raw.items():
             try:
                 node = int(key)
             except (TypeError, ValueError):
@@ -194,24 +196,25 @@ def _parse_topology(obj) -> dict:
             if node in adjacency:
                 raise ConfigError("topology.adjacency",
                                   f"node id {key!r} repeats node {node}")
-            if not isinstance(neighbors, list):
-                raise ConfigError(f"topology.adjacency.{node}", "expected a list")
-            seen = set()
-            out = []
-            for v in neighbors:
-                v = as_int(v, f"topology.adjacency.{node}")
-                if v in seen:
-                    raise ConfigError(f"topology.adjacency.{node}",
-                                      f"duplicate neighbor {v}")
-                seen.add(v)
-                out.append(v)
-            adjacency[node] = tuple(out)
+            path = f"topology.adjacency.{node}"
+            if not isinstance(row, list):
+                raise ConfigError(path, "expected a list")
+            if not (set(map(type, row)) <= {int} and len(set(row)) == len(row)):
+                seen = set()
+                for v in row:
+                    if as_int(v, path) in seen:
+                        raise ConfigError(path, f"duplicate neighbor {v}")
+                    seen.add(v)
+            adjacency[node] = tuple(row)
         declared = set(adjacency)
-        for node, neighbors in adjacency.items():
-            for v in neighbors:
-                if v not in declared:
-                    raise ConfigError(f"topology.adjacency.{node}",
-                                      f"neighbor {v} is not a declared node")
+        for node, row in adjacency.items():
+            if not declared.issuperset(row):
+                v = next(v for v in row if v not in declared)
+                raise ConfigError(f"topology.adjacency.{node}",
+                                  f"neighbor {v} is not a declared node")
+        check_channel_count(sum(map(len, adjacency.values())),
+                            f"an explicit topology of {len(adjacency)} nodes",
+                            "topology.adjacency")
         return adjacency
     kind = obj.get("kind")
     if kind not in ("complete", "ring"):

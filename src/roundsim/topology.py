@@ -1,21 +1,16 @@
-"""Topology work that parsing a generated topology does not need.
-
-- `checked_rows` checks an explicit adjacency a row at a time at C speed,
-  for `config`;
-- `meta_parts` writes the complete shorthand in a log's `meta` as the
-  adjacency it stands for, from one joined text of the ids, for
-  `runlog.serialize`.
+"""The v1 `meta` writer: `meta_parts` writes the complete shorthand in a
+log's `meta` as the adjacency it stands for, from one joined text of the
+ids, for `runlog.serialize`.
 
 The shape of a topology is decided once, by the config parser: a
 complete one is a `network.CompleteAdjacency`, and `RunConfig.to_json_obj`
 writes it as `{"kind": "complete", "nodes": n}`. Nothing here compares
-rows to learn it. Those layers import this module where they first need
-it, not at the top: loading a config of a generated topology, which
-set-up time counts, does not need it.
+rows to learn it. `runlog.serialize` imports this module where it first
+needs it, not at the top: loading a config, which set-up time counts,
+does not need it.
 """
 
 from itertools import accumulate
-from typing import Optional
 
 from .runlog import canonical_json
 
@@ -49,23 +44,3 @@ def meta_parts(meta: dict) -> list:
                   joined[cuts[i + 1] + (i == 0):], "],")
     parts[-1] = "]}}" + ("," + tail[1:] if len(tail) > 2 else "}")
     return parts
-
-
-def checked_rows(raw: dict) -> Optional[dict]:
-    """The adjacency of a raw explicit adjacency object whose keys are
-    distinct non-negative int ids and whose rows are lists of distinct
-    int ids of declared nodes, checked a row at a time at C speed; None
-    for any other, which the entry-by-entry loop then refuses or accepts."""
-    try:
-        nodes = [int(key) for key in raw]
-    except (TypeError, ValueError):
-        return None
-    declared = set(nodes)
-    if (min(nodes) < 0 or len(declared) != len(nodes)
-            or set(map(type, raw.values())) != {list}):
-        return None
-    if all(set(map(type, row)) <= {int}
-           and len(declared.intersection(row)) == len(row)
-           for row in raw.values()):
-        return dict(zip(nodes, map(tuple, raw.values())))
-    return None

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from roundsim import config as config_mod
 from roundsim.config import DEFAULT_SEED, MAX_NESTING, decode, load, parse_obj
 from roundsim.engine import run
 from roundsim.errors import ConfigError, UnknownAlgorithmError
@@ -135,6 +136,25 @@ def test_explicit_adjacency_faults_are_named_exactly(adjacency, path, message):
     with pytest.raises(ConfigError) as err:
         parse_obj(minimal(topology={"adjacency": adjacency}))
     assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_explicit_adjacency_is_held_to_the_channel_bound(monkeypatch):
+    # A complete graph of 3 nodes, written out, has 6 channels.
+    topology = {"adjacency": complete_rows(3)}
+    monkeypatch.setattr(config_mod, "MAX_CHANNELS", 6)
+    assert parse_obj(minimal(topology=topology)).n_channels == 6
+    monkeypatch.setattr(config_mod, "MAX_CHANNELS", 5)
+    with pytest.raises(ConfigError) as err:
+        parse_obj(minimal(topology=topology))
+    assert (err.value.path, err.value.message) == (
+        "topology.adjacency", "an explicit topology of 3 nodes has 6 "
+                              "channels, above the limit of 5")
+    # A malformed row is named before the count is checked.
+    with pytest.raises(ConfigError) as err:
+        parse_obj(minimal(topology={"adjacency": dict(
+            complete_rows(3), **{"2": [0, 1, 7]})}))
+    assert (err.value.path, err.value.message) == (
+        "topology.adjacency.2", "neighbor 7 is not a declared node")
 
 
 @pytest.mark.parametrize("bad,path_part", [
@@ -272,6 +292,27 @@ def test_consensus_leader_must_be_reachable():
     with pytest.raises(ConfigError) as err:
         parse_obj(minimal(algorithm="raft", algorithmParams={"leaderId": 9}))
     assert "leaderId" in err.value.path
+
+
+def test_consensus_refuses_a_node_without_a_channel_to_the_leader():
+    adjacency = dict(complete_rows(4), **{"2": [0, 3]})
+    with pytest.raises(ConfigError) as err:
+        parse_obj(minimal(algorithm="raft", topology={"adjacency": adjacency},
+                          algorithmParams={"leaderId": 1}))
+    assert (err.value.path, err.value.message) == (
+        "topology", "node 2 has no channel to leader 1")
+    # The same rows with another leader, which every row holds, pass.
+    parse_obj(minimal(algorithm="raft", topology={"adjacency": adjacency},
+                      algorithmParams={"leaderId": 0}))
+
+
+@pytest.mark.parametrize("algorithm", ["pbft", "raft"])
+def test_consensus_accepts_any_leader_of_a_complete_topology(algorithm):
+    config = parse_obj(minimal(algorithm=algorithm,
+                               topology={"kind": "complete", "nodes": 50},
+                               algorithmParams={"leaderId": 49}))
+    assert type(config.adjacency) is CompleteAdjacency
+    assert config.algorithm_params["leaderId"] == 49
 
 
 def test_kademlia_needs_power_of_two_nodes():

@@ -371,6 +371,9 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
              % DEEP_LIST).encode(), TOO_DEEP),
     ("sweep", (DELAY_SWEEP % ('"algorithmParams": {"x": %s}' % DEEP_LIST)
                ).encode(), TOO_DEEP),
+    ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+            b'"topology": {"adjacency": {"0": [1], "1": [0, 2]}}}',
+     "sim: topology.adjacency.1: neighbor 2 is not a declared node"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -383,7 +386,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "sweep-axis-algorithm", "sweep-axis-variant", "run-directory",
         "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
         "bench-missing", "run-unclosed-brackets", "sweep-unclosed-brackets",
-        "run-params-nested-600", "sweep-params-nested-600"])
+        "run-params-nested-600", "sweep-params-nested-600",
+        "adjacency-neighbor-undeclared"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
@@ -397,6 +401,23 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
     err = capsys.readouterr().err
     assert err.startswith("sim: ") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("bound,status", [(5, 2), (6, 0)])
+def test_cli_holds_an_explicit_topology_to_the_channel_bound(
+        tmp_path, capsys, monkeypatch, bound, status):
+    """The case of the table above at a lowered MAX_CHANNELS: a complete
+    graph of 3 nodes written out as rows has 6 channels."""
+    monkeypatch.setattr("roundsim.config.MAX_CHANNELS", bound)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "algorithm": "raft", "roundsPerComputation": 5,
+        "topology": {"adjacency": {"0": [1, 2], "1": [0, 2], "2": [0, 1]}}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "log.json")]) == status
+    err = capsys.readouterr().err
+    assert err == ("" if status == 0 else
+                   "sim: topology.adjacency: an explicit topology of 3 nodes "
+                   "has 6 channels, above the limit of 5\n")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "bench --threads 1"])
