@@ -5,7 +5,7 @@ Mining and transaction submission are per-peer Bernoulli trials each
 round. A peer's i-th round reads words 2i and 2i+1 of its node stream,
 whether or not the trials fire, so runs with identical seeds stay aligned
 across variants. It reads them TRIAL_BLOCK rounds at a time, straight
-from the stream's bit generator, and keeps one trial byte per round: the
+from the stream's Philox, and keeps one trial byte per round: the
 same words and the same doubles two `Stream.random()` calls take, and
 the same comparisons, made elementwise by numpy.
 """
@@ -82,8 +82,8 @@ def make_genesis() -> Block:
 
 
 class BlockchainPeer(AlgorithmNode):
-    """One peer. `bits` is its node stream's bit generator, which it
-    reads through `draw_trials`; the peer never builds `ctx.rng`."""
+    """One peer. `bits` is its node stream, a Philox bit generator, which
+    it reads through `draw_trials`; the peer never builds `ctx.rng`."""
 
     def __init__(self, node_id: int, n_nodes: int, variant: str,
                  tx_probability: float, mine_probability: float, bits=None):
@@ -205,7 +205,7 @@ class BlockchainFamily(Algorithm):
                               self.params["variant"],
                               self.params["transactionProbability"],
                               self.params["mineProbability"],
-                              self.streams.node(node_id).bit_generator)
+                              self.streams.node(node_id))
 
     def end_of_round(self, round_, nodes, logger):
         # The confirmed count: the shortest of the peers' longest chains.

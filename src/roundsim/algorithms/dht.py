@@ -159,11 +159,11 @@ class DhtFamily(Algorithm):
                               f"{MAX_SCHEDULED_QUERIES}")
         if config.algorithm_params["variant"] == KADEMLIA:
             if n & (n - 1):
-                raise ConfigError("topology.nodes",
+                raise ConfigError("topology",
                                   f"kademlia needs a power-of-two node count, got {n}")
             bits = n.bit_length() - 1
             check_channel_count(config.n_channels + n * bits,
-                                f"a kademlia overlay of {n} nodes")
+                                f"a kademlia overlay of {n} nodes", "topology")
 
     def __init__(self, config, streams):
         super().__init__(config, streams)
@@ -178,7 +178,7 @@ class DhtFamily(Algorithm):
             shift = np.arange(self.bits - 1, -1, -1)
             lo = ((np.arange(self.n)[:, None] >> shift) ^ 1) << shift
             hi = lo + (1 << shift)
-            picks = lo + streams.topology().integers(hi - lo)
+            picks = lo + np.random.Generator(streams.topology()).integers(hi - lo)
             self.shortcuts = dict(enumerate(map(tuple, picks.tolist())))
 
     def _draw_schedules(self):
@@ -193,9 +193,10 @@ class DhtFamily(Algorithm):
         if rate == 0:
             return {}
         queries = self.config.rounds_per_computation * rate
+        import numpy as np
+        workload = np.random.Generator(self.streams.workload())
         # A memoryview's step slices read the pairs without a list of ints.
-        draws = memoryview(
-            self.streams.workload().integers(self.n, size=2 * queries))
+        draws = memoryview(workload.integers(self.n, size=2 * queries))
         schedules = {}
         for qid, (origin, target) in enumerate(zip(draws[::2], draws[1::2])):
             schedules.setdefault(origin, {}).setdefault(qid // rate, []).append(

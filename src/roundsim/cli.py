@@ -72,7 +72,8 @@ def _bench_table(rows, fmt: str) -> str:
 def _cmd_run(args) -> int:
     config = config_mod.load_file(args.config)
     if args.threads is not None:
-        config = config.with_(worker_count=args.threads)
+        config = config.with_(worker_count=config_mod.as_int(
+            args.threads, "--threads", minimum=1))
     doc = Engine(config).run()
     if args.format == "json":
         _emit(serialize(doc), args.out)
@@ -96,8 +97,10 @@ def _cmd_bench(args) -> int:
     except ValueError:
         counts = []
     if not counts:
-        raise ConfigError("threads", f"expected a comma list of integers, "
-                                     f"got {args.threads!r}")
+        raise ConfigError("--threads", f"expected a comma list of integers, "
+                                       f"got {args.threads!r}")
+    for count in counts:
+        config_mod.as_int(count, "--threads", minimum=1)
     rows = sweep_mod.benchmark_threads(config, counts)
     _emit(_bench_table(rows, args.format), args.out)
     return 0

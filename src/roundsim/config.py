@@ -96,9 +96,7 @@ class RunConfig:
         config is; an invalid field raises ConfigError."""
         return parse_obj(replace(self, **kwargs).to_json_obj())
 
-    def to_json_obj(self, include_workers: bool = True) -> dict:
-        # The log header omits workerCount: it does not change execution,
-        # and logs must be byte-identical across worker counts.
+    def to_json_obj(self) -> dict:
         adjacency = self.adjacency
         obj = {
             "algorithm": self.algorithm,
@@ -113,9 +111,8 @@ class RunConfig:
             "computationsPerRun": self.computations_per_run,
             "seed": self.seed,
             "algorithmParams": self.algorithm_params,
+            "workerCount": self.worker_count,
         }
-        if include_workers:
-            obj["workerCount"] = self.worker_count
         if self.log_tags is not None:
             obj["logTags"] = sorted(self.log_tags)
         return obj

@@ -62,7 +62,9 @@ class Engine:
                         joined += records
         finally:
             gc.set_threshold(*thresholds)
-        return LogDocument(config.to_json_obj(include_workers=False), data)
+        meta = config.to_json_obj()
+        del meta["workerCount"]  # logs are byte-identical across worker counts
+        return LogDocument(meta, data)
 
     def _run_computation(self, computation: int) -> dict:
         """Tag -> the computation's records in canonical order, if any."""

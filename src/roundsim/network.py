@@ -100,9 +100,8 @@ class DelayDistribution:
         return {"kind": POISSON, "mean": self.mean}
 
 
-def sample_delay(dist: DelayDistribution, rng) -> int:
-    """Draw one delay; integer, always >= 1. rng is a `Stream` or a numpy
-    `Generator`: both draw the same delay from the same stream."""
+def sample_delay(dist: DelayDistribution, rng: Stream) -> int:
+    """Draw one delay from a `Stream`; integer, always >= 1."""
     if dist.kind == DETERMINISTIC:
         return dist.value
     if dist.kind == UNIFORM:

@@ -5,9 +5,9 @@ gets its own counter-based Philox stream keyed by the run seed plus a
 structural key. Results therefore do not depend on the order in which
 streams are built or consumed, so a stream can be built on first use.
 
-`make_stream` and `StreamFactory` hand out numpy `Generator`s. Node and
-channel streams are wrapped in a `Stream`, which reads the generator's
-raw 64-bit Philox words in blocks and draws scalars from them with
+`make_stream` and `StreamFactory` hand out bare numpy `Philox` bit
+generators. Node and channel streams are wrapped in a `Stream`, which
+reads their raw 64-bit words in blocks and draws scalars from them with
 roundsim's own samplers. Those take the words numpy's `Generator.random`,
 `.integers` and `.poisson` would take and return the same values
 (`tests/test_rng.py` checks them against numpy), so node and channel
@@ -17,14 +17,14 @@ stable, and not on numpy's distribution code, which its RNG policy
 `exp` and `log`, as numpy's does. Reading a block ahead is invisible,
 because every stream is private to one (computation, entity) key.
 
-Blockchain peers skip the `Stream`: each reads its node stream's bit
-generator directly, `random_raw` words for a block of rounds at a time,
-and compares the doubles `Stream.random` would make of them with its
-trial probabilities elementwise in numpy. That is exact conversion and
-IEEE comparison, not numpy's distribution code, so it draws the same
-trials.
+Blockchain peers skip the `Stream`: each reads its node stream's
+`random_raw` words for a block of rounds at a time, and compares the
+doubles `Stream.random` would make of them with its trial probabilities
+elementwise in numpy: exact conversion and IEEE comparison, not numpy's
+distribution code. A numpy `Generator` is built only where the DHT draws
+vectors: its query schedule and its kademlia shortcuts.
 
-numpy is imported where a generator or seed is made, in `make_stream`
+numpy is imported where a stream or seed is made, in `make_stream`
 and `derive_seed`, not when this module is. A run that builds no stream
 (a fixed law with nodes that never read `ctx.rng`) never loads numpy;
 any other run loads it at its first stream.
@@ -67,11 +67,11 @@ _LOGGAM = (8.333333333333333e-02, -2.777777777777778e-03,
 
 
 def make_stream(seed: int, computation: int, domain: int,
-                *key: int) -> "numpy.random.Generator":
-    """Create the generator for one (computation, entity) pair."""
+                *key: int) -> "numpy.random.Philox":
+    """Create the bit generator for one (computation, entity) pair."""
     import numpy as np
     entropy = (seed & _MASK64, computation, domain) + tuple(k & _MASK64 for k in key)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Philox(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed: int, domain: int, *key: int) -> int:
@@ -89,16 +89,16 @@ class StreamFactory:
         self.seed = seed
         self.computation = computation
 
-    def node(self, node_id: int) -> "numpy.random.Generator":
+    def node(self, node_id: int) -> "numpy.random.Philox":
         return make_stream(self.seed, self.computation, NODE, node_id)
 
-    def channel(self, sender: int, receiver: int) -> "numpy.random.Generator":
+    def channel(self, sender: int, receiver: int) -> "numpy.random.Philox":
         return make_stream(self.seed, self.computation, CHANNEL, sender, receiver)
 
-    def workload(self) -> "numpy.random.Generator":
+    def workload(self) -> "numpy.random.Philox":
         return make_stream(self.seed, self.computation, WORKLOAD)
 
-    def topology(self) -> "numpy.random.Generator":
+    def topology(self) -> "numpy.random.Philox":
         return make_stream(self.seed, self.computation, TOPOLOGY)
 
 
@@ -159,12 +159,12 @@ def _poisson_ptrs(word, lam: float) -> int:
 
 
 class Stream:
-    """Scalar draws from one generator's raw Philox words, read in blocks.
+    """Scalar draws from one Philox's raw words, read in blocks.
 
     `random()`, `integers(low, high=None)` and `poisson(lam)` take the
     words numpy's `Generator` methods of the same names take for one
     scalar draw, in the same order, and return the same values, as
-    Python ints and floats. Build it on a generator nothing has drawn
+    Python ints and floats. Build it on a bit generator nothing has drawn
     from yet. `word()` returns the next raw 64-bit word, which
     `Channel.make_packet` reads to make the loss trial and the poisson
     delay without a method call per draw.
@@ -172,8 +172,8 @@ class Stream:
 
     __slots__ = ("word", "_half")
 
-    def __init__(self, generator: "numpy.random.Generator"):
-        self.word = chain.from_iterable(_blocks(generator.bit_generator)).__next__
+    def __init__(self, bit_generator: "numpy.random.Philox"):
+        self.word = chain.from_iterable(_blocks(bit_generator)).__next__
         # The high 32 bits of the last word whose low half a 32-bit draw
         # took, or None. Doubles read whole words and leave it alone.
         self._half = None

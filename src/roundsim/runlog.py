@@ -43,8 +43,7 @@ joined text of the ids.
 """
 
 import json
-from itertools import islice
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
 from ._version import __version__
@@ -229,18 +228,14 @@ class LogDocument:
 
 def serialize(doc: LogDocument) -> str:
     """Canonical JSON text: sorted keys, records in canonical order. The
-    document itself is left as it is: a tag out of order is written from a
-    sorted copy."""
+    document itself is left as it is: each tag is written from a sorted
+    copy."""
     parts = ['{"data":{']
     for i, tag in enumerate(doc.tags()):
         # The tag is encoded as json encodes a dict key: '"tag":'.
         parts.append(("," if i else "") + canonical_json({tag: 0})[1:-2])
-        records = doc.data[tag]
-        kinds = set(map(type, records))
-        key = _order_key(kinds)
-        stamps = list(map(key, records))
-        if not all(map(le, stamps, islice(stamps, 1, None))):
-            records = sorted(records, key=key)
+        kinds = set(map(type, doc.data[tag]))
+        records = sorted(doc.data[tag], key=_order_key(kinds))
         kind = kinds.pop() if len(kinds) == 1 else None
         template = getattr(kind, "TEMPLATE", None)
         if template is None:

@@ -257,7 +257,7 @@ def receive(peer, round_, *payloads):
 
 def idle_peer(variant="bitcoin"):
     return BlockchainPeer(1, 4, variant, 0.0, 0.0,
-                          StreamFactory(5, 0).node(1).bit_generator)
+                          StreamFactory(5, 0).node(1))
 
 
 def test_transaction_received_twice_is_queued_once():
@@ -340,7 +340,7 @@ def test_block_read_trials_match_two_scalar_draws(rounds):
                                   | (doubles[2 * r + 1] < mine_p) << 1]
                     if trial]
             peer = TrialPeer(node, 7, "bitcoin", tx_p, mine_p,
-                             StreamFactory(seed, 0).node(node).bit_generator)
+                             StreamFactory(seed, 0).node(node))
             ctx = SimpleNamespace(in_stream=())
             for round_ in range(rounds):
                 ctx.round = round_

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,7 +117,7 @@ def test_kademlia_shortcuts_match_one_draw_per_group(n, seed):
     # Reference: one scalar draw per (node, prefix group), node by node.
     config = dht_config("kademlia", n, roundsPerComputation=1)
     bits = max(1, (n - 1).bit_length())
-    rng = StreamFactory(seed, 0).topology()
+    rng = np.random.Generator(StreamFactory(seed, 0).topology())
     expected = {u: tuple(lo + int(rng.integers(hi - lo))
                          for lo, hi in prefix_groups(u, bits))
                 for u in range(n)}
@@ -129,9 +130,28 @@ def test_kademlia_shortcuts_count_toward_the_channel_cap(monkeypatch):
     # 128 ring nodes hold 256 channels; 7 shortcuts each add 896 more.
     monkeypatch.setattr(config_mod, "MAX_CHANNELS", 1000)
     assert dht_config("chord", 128).n_channels == 256
-    with pytest.raises(ConfigError, match="topology.nodes: a kademlia overlay "
+    with pytest.raises(ConfigError, match="topology: a kademlia overlay "
                                           "of 128 nodes has 1152 channels"):
         dht_config("kademlia", 128)
+
+
+def explicit_ring(n):
+    return {"adjacency": {str(u): [(u - 1) % n, (u + 1) % n]
+                          for u in range(n)}}
+
+
+def test_kademlia_on_an_explicit_ring_is_refused_at_topology(monkeypatch):
+    # An explicit adjacency has no topology.nodes key to name.
+    with pytest.raises(ConfigError) as refused:
+        dht_config("kademlia", 6, topology=explicit_ring(6))
+    assert str(refused.value) == ("topology: kademlia needs a power-of-two "
+                                  "node count, got 6")
+    # 8 ring nodes hold 16 channels; 3 shortcuts each add 24 more.
+    monkeypatch.setattr(config_mod, "MAX_CHANNELS", 20)
+    with pytest.raises(ConfigError) as refused:
+        dht_config("kademlia", 8, topology=explicit_ring(8))
+    assert str(refused.value) == ("topology: a kademlia overlay of 8 nodes "
+                                  "has 40 channels, above the limit of 20")
 
 
 @pytest.mark.parametrize("variant,n,rate,seed", [
@@ -143,7 +163,7 @@ def test_query_schedule_matches_scalar_draws(variant, n, rate, seed):
     rounds = 40
     config = dht_config(variant, n, roundsPerComputation=rounds,
                         algorithmParams={"queriesPerRound": rate})
-    rng = StreamFactory(seed, 0).workload()
+    rng = np.random.Generator(StreamFactory(seed, 0).workload())
     expected, qid = {}, 0
     for round_ in range(rounds):
         for _ in range(rate):
@@ -164,8 +184,9 @@ def test_one_vector_draw_takes_the_scalar_draws(n):
     # and 64-bit draws, in order, as k scalar integers(n) calls, for ring
     # sizes past any a config can reach too.
     for seed in range(5):
-        scalar = StreamFactory(seed, 0).workload()
-        vector = StreamFactory(seed, 0).workload().integers(n, size=41).tolist()
+        scalar = np.random.Generator(StreamFactory(seed, 0).workload())
+        vector = np.random.Generator(StreamFactory(seed, 0).workload()).integers(
+            n, size=41).tolist()
         assert vector == [int(scalar.integers(n)) for _ in range(41)]
 
 

@@ -158,6 +158,26 @@ def test_only_a_drawing_law_opens_channels(monkeypatch):
     assert sorted(streams) == sorted(args[:2] for args in opened)
 
 
+@pytest.mark.parametrize("name,per_computation", [
+    ("bitcoin-lossy", 0), ("chord", 1), ("kademlia", 2)])
+def test_only_the_dht_vector_draws_build_a_generator(monkeypatch, name,
+                                                     per_computation):
+    # Node and channel streams are bare Philox bit generators; the DHT
+    # wraps its workload stream, and kademlia its topology stream too.
+    import numpy as np
+    built, generator = [], np.random.Generator
+
+    def counting(bit_generator):
+        built.append(type(bit_generator))
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    config = load_file(CONFIGS / f"{name}.json")
+    run(config)
+    assert built == [np.random.Philox] * (per_computation
+                                          * config.computations_per_run)
+
+
 def test_meta_echoes_config_without_worker_count():
     config = tick_config(workerCount=4)
     doc = run(config)

@@ -12,11 +12,12 @@ On a fixed law (deterministic delay, no loss) the reference builds each
 packet with `Channel.make_packet`, while `Network.send` stages a whole
 call under one delivery round without opening channels. On a drawing law
 the reference does not go through `Channel` at all: it draws from each
-edge's `np.random.Generator` (`StreamFactory.channel`) with numpy's own
-samplers, by the formula written out here (loss trial, then delay, then
+edge's `StreamFactory.channel` through a numpy `Generator`, with numpy's
+own samplers, by the formula written out here (loss trial, then delay, then
 the FIFO clamp), while the fabric draws through roundsim's `Stream`.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,7 +96,8 @@ def drawing_law_reference(adjacency, delay, loss, fifo):
     def packet_for(sender, dest, payload, send_round):
         edge = (sender, dest)
         if edge not in rngs:
-            rngs[edge], last[edge] = streams.channel(sender, dest), 0
+            rngs[edge] = np.random.Generator(streams.channel(sender, dest))
+            last[edge] = 0
         rng = rngs[edge]
         if loss > 0.0 and rng.random() < loss:
             return None

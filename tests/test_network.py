@@ -7,7 +7,7 @@ from scipy import stats
 from roundsim.errors import ConfigError
 from roundsim.network import (Channel, CompleteAdjacency, DelayDistribution,
                               Network, Packet, sample_delay)
-from roundsim.rng import StreamFactory
+from roundsim.rng import Stream, StreamFactory
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
 
 from logcheck import assert_same_log
@@ -21,7 +21,7 @@ def make_channel(delay, loss=0.0, fifo=True, seed=7):
 
 
 def draw_delays(dist, n, seed=11):
-    rng = StreamFactory(seed, 0).channel(0, 1)
+    rng = Stream(StreamFactory(seed, 0).channel(0, 1))
     return np.array([sample_delay(dist, rng) for _ in range(n)])
 
 

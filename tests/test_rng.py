@@ -13,7 +13,7 @@ from roundsim.rng import (NODE, SWEEP, Stream, StreamFactory, derive_seed,
 def test_same_key_same_stream():
     a = make_stream(42, 0, 1, 7)
     b = make_stream(42, 0, 1, 7)
-    assert a.integers(0, 1 << 30, 100).tolist() == b.integers(0, 1 << 30, 100).tolist()
+    assert a.random_raw(100).tolist() == b.random_raw(100).tolist()
 
 
 def test_distinct_entities_distinct_streams():
@@ -21,26 +21,26 @@ def test_distinct_entities_distinct_streams():
     for computation in range(3):
         for node in range(5):
             rng = make_stream(1, computation, 1, node)
-            draws.add(tuple(rng.integers(0, 1 << 62, 4).tolist()))
+            draws.add(tuple(rng.random_raw(4).tolist()))
     assert len(draws) == 15
 
 
 def test_domain_separation():
     # node 3 and channel (0,3) share numeric key material but not a domain
     factory = StreamFactory(9, 0)
-    node = factory.node(3).integers(0, 1 << 62, 8).tolist()
-    chan = factory.channel(0, 3).integers(0, 1 << 62, 8).tolist()
+    node = factory.node(3).random_raw(8).tolist()
+    chan = factory.channel(0, 3).random_raw(8).tolist()
     assert node != chan
 
 
 def test_streams_independent_of_consumption_order():
     f1 = StreamFactory(5, 2)
-    a_first = f1.node(0).random(4).tolist()
-    f1.node(1).random(4)
+    a_first = f1.node(0).random_raw(4).tolist()
+    f1.node(1).random_raw(4)
 
     f2 = StreamFactory(5, 2)
-    f2.node(1).random(4)
-    a_second = f2.node(0).random(4).tolist()
+    f2.node(1).random_raw(4)
+    a_second = f2.node(0).random_raw(4).tolist()
     assert a_first == a_second
 
 
@@ -55,7 +55,7 @@ def test_derive_seed_deterministic_and_distinct():
 def test_negative_keys_are_masked():
     # genesis-style ids (-1) must not crash the entropy packing
     rng = make_stream(1, 0, 2, -1)
-    assert isinstance(rng, np.random.Generator)
+    assert isinstance(rng, np.random.Philox)
 
 
 # Stream's samplers against numpy ----------------------------------------------
@@ -74,7 +74,7 @@ def test_samplers_match_numpy_over_interleaved_draws():
     for seed in range(200):
         pick = random.Random(seed)
         ours = Stream(make_stream(seed, 0, NODE, 3))
-        numpy_ = make_stream(seed, 0, NODE, 3)
+        numpy_ = np.random.Generator(make_stream(seed, 0, NODE, 3))
         # 60 draws cross several blocks, and a 32-bit draw's kept high half
         # meets doubles and Poisson counts drawn in between.
         for _ in range(60):
@@ -99,7 +99,7 @@ def test_samplers_match_numpy_over_interleaved_draws():
 def test_integers_at_the_int64_ends_match_numpy():
     for seed in range(20):
         ours = Stream(make_stream(seed, 0, NODE, 4))
-        numpy_ = make_stream(seed, 0, NODE, 4)
+        numpy_ = np.random.Generator(make_stream(seed, 0, NODE, 4))
         for low, high in ((-(2 ** 63), 2 ** 63), (-(2 ** 63), 0),
                           (2 ** 63 - 2, 2 ** 63), (0, 2 ** 32 - 1)):
             assert ours.integers(low, high) == int(numpy_.integers(low, high))
@@ -107,7 +107,7 @@ def test_integers_at_the_int64_ends_match_numpy():
 
 def test_samplers_refuse_what_numpy_refuses():
     ours = Stream(make_stream(1, 0, NODE, 0))
-    numpy_ = make_stream(1, 0, NODE, 0)
+    numpy_ = np.random.Generator(make_stream(1, 0, NODE, 0))
     for args in ((5, 5), (0,), (-(2 ** 63) - 1, 0), (0, 2 ** 63 + 1)):
         with pytest.raises(ValueError):
             numpy_.integers(*args)
@@ -127,8 +127,9 @@ def test_node_and_channel_streams_are_block_readers():
     ctx = NodeContext(4, (5,), factory, logger=None)
     channel = Channel(0, 1, DelayDistribution.poisson(2.5), 0.1, factory)
     assert isinstance(ctx.rng, Stream) and isinstance(channel.rng, Stream)
-    assert ctx.rng.random() == factory.node(4).random()
-    assert channel.rng.random() == factory.channel(0, 1).random()
+    assert ctx.rng.random() == np.random.Generator(factory.node(4)).random()
+    assert (channel.rng.random()
+            == np.random.Generator(factory.channel(0, 1)).random())
 
 
 def test_ptrs_takes_words_numpy_is_never_steered_to():

@@ -374,6 +374,12 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
     ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, '
             b'"topology": {"adjacency": {"0": [1], "1": [0, 2]}}}',
      "sim: topology.adjacency.1: neighbor 2 is not a declared node"),
+    ("run --threads 0", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+                        b'"topology": {"kind": "complete", "nodes": 3}}',
+     "sim: --threads: must be >= 1, got 0"),
+    ("bench --threads 1,0", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+                            b'"topology": {"kind": "complete", "nodes": 3}}',
+     "sim: --threads: must be >= 1, got 0"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -387,7 +393,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
         "bench-missing", "run-unclosed-brackets", "sweep-unclosed-brackets",
         "run-params-nested-600", "sweep-params-nested-600",
-        "adjacency-neighbor-undeclared"])
+        "adjacency-neighbor-undeclared", "run-threads-zero",
+        "bench-threads-zero"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
