@@ -1,8 +1,18 @@
-"""Bundled protocol families. Importing this package registers every
-algorithm id with the registry."""
+"""Bundled protocol families. Importing this package registers nothing:
+`get_algorithm` imports a bundled id's family module on the first lookup
+of the id (see `base.BUNDLED`), and each family module is also an
+attribute of this package, imported on first access."""
 
-from .base import Algorithm, get_algorithm, register
-from . import blockchain, consensus, datalink, dht  # noqa: F401  (registration)
+from importlib import import_module
 
-__all__ = ["Algorithm", "get_algorithm", "register",
-           "blockchain", "consensus", "datalink", "dht"]
+from .base import BUNDLED, Algorithm, get_algorithm, register
+
+_FAMILIES = tuple(sorted(set(BUNDLED.values())))
+
+__all__ = ["Algorithm", "get_algorithm", "register", *_FAMILIES]
+
+
+def __getattr__(name):
+    if name in _FAMILIES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

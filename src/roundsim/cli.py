@@ -1,6 +1,6 @@
 """Command-line harness: run one config, run a sweep file, or benchmark
 thread counts. Exit codes: 0 success, 2 configuration problems, 1 other
-failures."""
+failures. The sweep harness is imported only by the commands that use it."""
 
 import argparse
 import csv
@@ -10,7 +10,6 @@ import os
 import sys
 
 from . import config as config_mod
-from . import sweep as sweep_mod
 from .engine import Engine
 from .errors import ConfigError, RoundsimError
 from .runlog import canonical_json, serialize
@@ -83,6 +82,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import sweep as sweep_mod
+
     sweep = sweep_mod.load_sweep_file(args.sweep)
     table = sweep_mod.run_sweep(sweep)
     text = table.to_json() if args.format == "json" else table.to_csv()
@@ -91,14 +92,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import sweep as sweep_mod
+
     config = config_mod.load_file(args.config)
     try:
-        counts = [int(part) for part in args.threads.split(",") if part]
+        counts = [int(part) for part in args.threads.split(",")]
     except ValueError:
-        counts = []
-    if not counts:
         raise ConfigError("--threads", f"expected a comma list of integers, "
-                                       f"got {args.threads!r}")
+                                       f"got {args.threads!r}") from None
     for count in counts:
         config_mod.as_int(count, "--threads", minimum=1)
     rows = sweep_mod.benchmark_threads(config, counts)

@@ -11,28 +11,28 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Optional
 
 from . import config as config_mod
+from .algorithms.base import BUNDLED
 from .config import algorithm_of, as_int, reject_unknown_keys, require
-from .algorithms.blockchain import BlockchainFamily, throughput_series
-from .algorithms.consensus import ConsensusFamily, mean_latency
-from .algorithms.dht import DhtFamily, mean_hops
-from .algorithms.datalink import DatalinkFamily, utility
 from .engine import Engine
 from .errors import ConfigError, SimulationError
 from .rng import SWEEP, derive_seed
 from .runlog import canonical_json, serialize
 
-# metric name -> (reducer over a LogDocument, called with the metricParams as
-#                 keywords; algorithm ids it applies to; metricParams keys it
-#                 accepts, each an integer >= 1)
+# metric name -> (the family module of roundsim.algorithms that defines its
+#                 reducer, a function of that name over a LogDocument called
+#                 with the metricParams as keywords; the metricParams keys it
+#                 accepts, each an integer >= 1). A metric applies to the
+#                 algorithm ids of its module, and the module is imported
+#                 only when a sweep runs.
 METRICS = {
-    "throughput_series": (throughput_series, BlockchainFamily.variants,
-                          ("window",)),
-    "mean_latency": (mean_latency, ConsensusFamily.variants, ()),
-    "utility": (utility, DatalinkFamily.variants, ()),
-    "mean_hops": (mean_hops, DhtFamily.variants, ()),
+    "throughput_series": ("blockchain", ("window",)),
+    "mean_latency": ("consensus", ()),
+    "utility": ("datalink", ()),
+    "mean_hops": ("dht", ()),
 }
 
 _SWEEP_KEYS = {"base", "axis", "points", "variants", "metric", "metricParams"}
@@ -122,9 +122,9 @@ def parse_sweep(obj: dict) -> Sweep:
     if metric not in METRICS:
         raise ConfigError("metric",
                           f"expected one of {sorted(METRICS)}, got {metric!r}")
-    _, allowed, param_keys = METRICS[metric]
+    family, param_keys = METRICS[metric]
     for v in variants:
-        if v not in allowed:
+        if BUNDLED.get(v) != family:
             raise ConfigError("variants",
                               f"metric {metric!r} does not apply to {v!r}")
     params = obj.get("metricParams", {})
@@ -169,7 +169,9 @@ def point_config(sweep: Sweep, index: int, variant: str):
 
 
 def run_sweep(sweep: Sweep) -> MetricTable:
-    reducer = METRICS[sweep.metric][0]
+    family = import_module(f".algorithms.{METRICS[sweep.metric][0]}",
+                           __package__)
+    reducer = getattr(family, sweep.metric)
     cells = [(index, variant) for index in range(len(sweep.points))
              for variant in sweep.variants]
     # Every cell is checked before the first run. The checked configs are

@@ -380,6 +380,9 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
     ("bench --threads 1,0", b'{"algorithm": "raft", "roundsPerComputation": 5, '
                             b'"topology": {"kind": "complete", "nodes": 3}}',
      "sim: --threads: must be >= 1, got 0"),
+    ("bench --threads ,1,,2,", b'{"algorithm": "raft", "roundsPerComputation": 5, '
+                               b'"topology": {"kind": "complete", "nodes": 3}}',
+     "sim: --threads: expected a comma list of integers, got ',1,,2,'"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -394,7 +397,7 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "bench-missing", "run-unclosed-brackets", "sweep-unclosed-brackets",
         "run-params-nested-600", "sweep-params-nested-600",
         "adjacency-neighbor-undeclared", "run-threads-zero",
-        "bench-threads-zero"])
+        "bench-threads-zero", "bench-threads-empty-part"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
