@@ -14,6 +14,7 @@ from typing import NamedTuple
 from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
+from ..rng import Stream, halves
 from ..runlog import typed_record
 from .base import Algorithm, register
 
@@ -173,32 +174,29 @@ class DhtFamily(Algorithm):
         self.shortcuts = {}
         if self.params["variant"] == KADEMLIA:
             import numpy as np
-            # Row u holds prefix_groups(u, bits); one draw over the whole
-            # array takes the values of a node-by-node, group-by-group loop.
+            # Row u holds the low ends of prefix_groups(u, bits). Group l
+            # spans 2**w ids, w = bits - l - 1, over which Stream.integers
+            # never rejects: it takes the top w bits of one 32-bit draw, and
+            # no draw for the last group's one id.
             shift = np.arange(self.bits - 1, -1, -1)
             lo = ((np.arange(self.n)[:, None] >> shift) ^ 1) << shift
-            hi = lo + (1 << shift)
-            picks = lo + np.random.Generator(streams.topology()).integers(hi - lo)
-            self.shortcuts = dict(enumerate(map(tuple, picks.tolist())))
+            draws = halves(streams.topology(), self.n * (self.bits - 1))
+            lo[:, :-1] += draws.reshape(self.n, self.bits - 1) >> (32 - shift[:-1])
+            self.shortcuts = dict(enumerate(map(tuple, lo.tolist())))
 
     def _draw_schedules(self):
         """origin -> {round -> [(qid, target)]}, each list in qid order.
 
         Queries are drawn round by round, origin then target, so the
-        workload does not depend on how it is split among origins. One
-        vector draw of all the (origin, target) pairs takes the values of
-        a scalar loop of `integers(n)` calls.
+        workload does not depend on how it is split among origins.
         """
         rate = self.params["queriesPerRound"]
         if rate == 0:
             return {}
-        queries = self.config.rounds_per_computation * rate
-        import numpy as np
-        workload = np.random.Generator(self.streams.workload())
-        # A memoryview's step slices read the pairs without a list of ints.
-        draws = memoryview(workload.integers(self.n, size=2 * queries))
+        draw = Stream(self.streams.workload()).integers
         schedules = {}
-        for qid, (origin, target) in enumerate(zip(draws[::2], draws[1::2])):
+        for qid in range(self.config.rounds_per_computation * rate):
+            origin, target = draw(self.n), draw(self.n)
             schedules.setdefault(origin, {}).setdefault(qid // rate, []).append(
                 (qid, target))
         return schedules

@@ -36,9 +36,9 @@ lists every other node included, has one map per node.
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
 `RunLogger` once, and appends `SendRecord`, `DropRecord` and `DeliverRecord`
-tuples to it. Each is stamped with the computation of the `StreamFactory`
-the network is built with and the round the call is given (`send_round`
-or `round_`); the fabric never reads the logger's position. No dict and
+tuples to it. Each is stamped with the logger's computation, read once
+when the network is built, and the round the call is given (`send_round`
+or `round_`); the fabric never reads the logger's round. No dict and
 no `LogRecord` is built per message; `runlog.serialize` renders the
 tuples through their templates.
 """
@@ -105,8 +105,8 @@ def sample_delay(dist: DelayDistribution, rng: Stream) -> int:
     if dist.kind == DETERMINISTIC:
         return dist.value
     if dist.kind == UNIFORM:
-        return int(rng.integers(dist.min, dist.max + 1))
-    return 1 + int(rng.poisson(dist.mean - 1.0))
+        return rng.integers(dist.min, dist.max + 1)
+    return 1 + rng.poisson(dist.mean - 1.0)
 
 
 class Packet(NamedTuple):
@@ -244,9 +244,8 @@ class Network:
         self._send_log, self._drop_log, self._deliver_log = (
             None if logger is None else logger.records_for(kind.TAG)
             for kind in (SendRecord, DropRecord, DeliverRecord))
-        # The computation every trace record is stamped with; a network
-        # without a logger may have no streams.
-        self._computation = None if logger is None else streams.computation
+        # The computation every trace record is stamped with.
+        self._computation = None if logger is None else logger.computation
         self.total_sent = 0
         self.total_delivered = 0
         self.total_dropped = 0

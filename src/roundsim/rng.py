@@ -21,8 +21,10 @@ Blockchain peers skip the `Stream`: each reads its node stream's
 `random_raw` words for a block of rounds at a time, and compares the
 doubles `Stream.random` would make of them with its trial probabilities
 elementwise in numpy: exact conversion and IEEE comparison, not numpy's
-distribution code. A numpy `Generator` is built only where the DHT draws
-vectors: its query schedule and its kademlia shortcuts.
+distribution code. The DHT draws its query schedule through a `Stream`
+on its workload stream, and its kademlia shortcuts from `halves` of its
+topology stream. No numpy `Generator` is built, so every draw of a run
+rests on SeedSequence, raw Philox words and this module.
 
 numpy is imported where a stream or seed is made, in `make_stream`
 and `derive_seed`, not when this module is. A run that builds no stream
@@ -156,6 +158,14 @@ def _poisson_ptrs(word, lam: float) -> int:
         if (log(v) + log(invalpha) - log(a / (us * us) + b)
                 <= -lam + k * loglam - _loggam(float(k + 1))):
             return k
+
+
+def halves(bit_generator: "numpy.random.Philox", count: int) -> "numpy.ndarray":
+    """A fresh bit generator's first `count` 32-bit draws, as an array:
+    each raw word gives its low half, then its high half, the order
+    `Stream` takes them in."""
+    words = bit_generator.random_raw((count + 1) // 2)
+    return words.astype("<u8", copy=False).view("<u4")[:count]
 
 
 class Stream:

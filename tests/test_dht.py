@@ -7,7 +7,7 @@ from roundsim.config import MAX_SCHEDULED_QUERIES, parse_obj
 from roundsim.engine import run
 from roundsim.errors import ConfigError, MetricError
 from roundsim.node import NodeContext
-from roundsim.rng import StreamFactory
+from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.base import get_algorithm
 from roundsim.algorithms.dht import (TAG_FORWARDED, common_prefix_len,
                                      mean_hops, prefix_groups, ring_next_hop)
@@ -180,14 +180,14 @@ def test_query_schedule_matches_scalar_draws(variant, n, rate, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2 ** 31 + 1, 2 ** 32, 2 ** 32 + 1, 2 ** 33])
 def test_one_vector_draw_takes_the_scalar_draws(n):
-    # The schedule rests on this: integers(n, size=k) takes the same 32-
-    # and 64-bit draws, in order, as k scalar integers(n) calls, for ring
-    # sizes past any a config can reach too.
+    # The schedule's scalar Stream.integers(n) calls take the draws numpy's
+    # integers(n, size=k) takes, 32- and 64-bit, in order, for ring sizes
+    # past any a config can reach too.
     for seed in range(5):
-        scalar = np.random.Generator(StreamFactory(seed, 0).workload())
+        scalar = Stream(StreamFactory(seed, 0).workload())
         vector = np.random.Generator(StreamFactory(seed, 0).workload()).integers(
             n, size=41).tolist()
-        assert vector == [int(scalar.integers(n)) for _ in range(41)]
+        assert vector == [scalar.integers(n) for _ in range(41)]
 
 
 def test_dht_schedule_is_capped_before_it_is_drawn():

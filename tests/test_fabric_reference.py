@@ -192,7 +192,7 @@ def fixed_law_runs(draw):
 def test_fixed_law_fabric_matches_per_message_reference(case):
     adjacency, value, rounds = case
     delay = DelayDistribution.deterministic(value)
-    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], COMPUTATION)
     net = Network(adjacency, delay, 0.0, StreamFactory(SEED, COMPUTATION),
                   logger=logger)
     ref = fixed_law_reference(adjacency, delay)
@@ -240,7 +240,7 @@ def drawing_law_runs(draw):
 @given(drawing_law_runs())
 def test_drawing_law_fabric_matches_numpy_reference(case):
     adjacency, delay, loss, fifo, rounds = case
-    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], COMPUTATION)
     net = Network(adjacency, delay, loss, StreamFactory(SEED, COMPUTATION),
                   fifo=fifo, logger=logger)
     ref = drawing_law_reference(adjacency, delay, loss, fifo)

@@ -76,6 +76,14 @@ def test_delay_always_at_least_one_round():
         assert samples.min() >= 1
 
 
+def test_sample_delay_returns_a_python_int():
+    rng = Stream(StreamFactory(11, 0).channel(0, 1))
+    for dist in (DelayDistribution.deterministic(2),
+                 DelayDistribution.uniform(1, 3), DelayDistribution.poisson(2.5)):
+        for _ in range(20):
+            assert type(sample_delay(dist, rng)) is int
+
+
 def test_deterministic_lossless_channel_draws_nothing():
     chan = Channel(0, 1, DelayDistribution.deterministic(2), 0.0, streams=None)
     assert chan.rng is None
@@ -439,11 +447,11 @@ def test_fabric_records_read_as_stamped_payloads():
 
 
 def test_fabric_stamps_its_computation_and_the_given_round():
-    # The logger stays at (0, 0): the stamps come from the network's own
-    # StreamFactory and from the round each call is given.
-    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER])
+    # The logger stays at round 0: the stamps come from the logger's
+    # computation, not the streams', and from the round each call is given.
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], 3)
     net = Network({0: (1,), 1: (0,)}, DelayDistribution.uniform(1, 3), 0.5,
-                  StreamFactory(12, 3), logger=logger)
+                  StreamFactory(12, 5), logger=logger)
     sends = drops = 0
     for round_ in range(5, 25):
         net.collect_deliverable(round_)
@@ -454,7 +462,7 @@ def test_fabric_stamps_its_computation_and_the_given_round():
                 sends += 1
     for round_ in range(25, 30):
         net.collect_deliverable(round_)
-    assert (logger.computation, logger.round) == (0, 0)
+    assert (logger.computation, logger.round) == (3, 0)
     doc = logger.document
     send, drop, deliver = (doc.records(tag)
                            for tag in (NET_SEND, NET_DROP, NET_DELIVER))
@@ -469,3 +477,14 @@ def test_fabric_stamps_its_computation_and_the_given_round():
         assert r.round > r.payload["sentRound"]
     assert sorted((r.payload["sentRound"], r.round) for r in deliver) == \
         sorted((r.round, r.payload["deliveryRound"]) for r in send)
+
+
+def test_fixed_law_fabric_stamps_without_streams():
+    # A fixed law never draws, so its network needs no StreamFactory even
+    # when it logs.
+    logger = RunLogger([NET_SEND], 3)
+    net = Network({0: (1,), 1: (0,)}, DelayDistribution.deterministic(1), 0.0,
+                  None, logger=logger)
+    net.send(0, ((1, "m"), (1, "n")), 4)
+    assert [(r.computation, r.round, r.payload["deliveryRound"])
+            for r in logger.document.records(NET_SEND)] == [(3, 4, 5)] * 2

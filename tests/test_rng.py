@@ -6,8 +6,8 @@ import pytest
 
 from roundsim.network import Channel, DelayDistribution
 from roundsim.node import NodeContext
-from roundsim.rng import (NODE, SWEEP, Stream, StreamFactory, derive_seed,
-                          make_stream)
+from roundsim.rng import (NODE, SWEEP, TOPOLOGY, Stream, StreamFactory,
+                          derive_seed, halves, make_stream)
 
 
 def test_same_key_same_stream():
@@ -120,6 +120,16 @@ def test_samplers_refuse_what_numpy_refuses():
             ours.poisson(lam)
     # Nothing was drawn: both streams still agree.
     assert ours.random() == numpy_.random()
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 40])
+def test_halves_are_numpy_plain_32_bit_draws(count):
+    for seed in range(5):
+        got = halves(make_stream(seed, 0, TOPOLOGY), count)
+        want = np.random.Generator(make_stream(seed, 0, TOPOLOGY)).integers(
+            2 ** 32, size=count)
+        assert got.tolist() == want.tolist()
+        assert got.dtype == np.uint32 and got.shape == (count,)
 
 
 def test_node_and_channel_streams_are_block_readers():
