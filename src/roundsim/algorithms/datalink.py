@@ -8,7 +8,7 @@ count toward utility; acknowledgements are free.
 
 import math
 
-from ..config import as_int
+from ..config import MAX_CHANNELS, as_int
 from ..errors import ConfigError, MetricError
 from ..node import AlgorithmNode
 from .base import Algorithm, register
@@ -134,8 +134,10 @@ class DatalinkFamily(Algorithm):
         params = config.algorithm_params
         if "timeoutLimit" in params:
             as_int(params["timeoutLimit"], "algorithmParams.timeoutLimit", minimum=1)
+        # sdl stages 2 * channelCapacity + 3 copies per transmission, held
+        # to MAX_CHANNELS like the channels of one computation.
         as_int(params.get("channelCapacity"), "algorithmParams.channelCapacity",
-               minimum=1)
+               minimum=1, maximum=(MAX_CHANNELS - 3) // 2)
 
     def __init__(self, config, streams):
         super().__init__(config, streams)

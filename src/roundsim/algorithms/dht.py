@@ -6,7 +6,11 @@ query: injection round, origin, target) is drawn up front from the
 workload stream, so variants run the exact same queries under one seed.
 Kademlia adds one shortcut link per prefix group on top of the ring,
 chosen from the topology stream, and needs n to be a power of two so
-the identifier space is fully populated.
+the identifier space is fully populated. Group l of a node holds the ids
+that share its first l bits and differ from it at bit l. A kademlia node
+forwards a query to its shortcut in the target's group, one table read
+at the highest bit where the two ids differ (Maymounkov and Mazieres,
+IPTPS 2002).
 """
 
 from typing import NamedTuple
@@ -70,24 +74,6 @@ def ring_next_hop(node_id: int, target: int, n: int) -> int:
     return (node_id - 1) % n
 
 
-def common_prefix_len(a: int, b: int, bits: int) -> int:
-    diff = a ^ b
-    if diff == 0:
-        return bits
-    return bits - diff.bit_length()
-
-
-def prefix_groups(node_id: int, bits: int):
-    """For each prefix length l, the id range [lo, hi) of peers sharing
-    the first l bits with node_id and differing at bit l."""
-    groups = []
-    for l in range(bits):
-        width = bits - l - 1
-        lo = ((node_id >> width) ^ 1) << width
-        groups.append((lo, lo + (1 << width)))
-    return groups
-
-
 class DhtNode(AlgorithmNode):
     def __init__(self, node_id, n, variant, bits, shortcuts, schedule):
         self.id = node_id
@@ -120,16 +106,11 @@ class DhtNode(AlgorithmNode):
         ctx.unicast(nxt, ("q", qid, target, hops + 1))
 
     def _kademlia_next_hop(self, target):
-        # The shortcut of group `own` shares at least own + 1 bits with the
-        # target, so some peer always improves the prefix.
-        own = common_prefix_len(self.id, target, self.bits)
-        best, best_len = None, own
-        for peer in self.shortcuts:
-            length = common_prefix_len(peer, target, self.bits)
-            if length > best_len or (length == best_len and best is not None
-                                     and peer < best):
-                best, best_len = peer, length
-        return best
+        # The target lies in group l, where l counts the bits it shares with
+        # this node, and so does that group's shortcut: it shares more than
+        # l bits with the target, while the shortcut of any other group
+        # shares at most l.
+        return self.shortcuts[self.bits - (self.id ^ target).bit_length()]
 
 
 @register
@@ -162,22 +143,23 @@ class DhtFamily(Algorithm):
             if n & (n - 1):
                 raise ConfigError("topology",
                                   f"kademlia needs a power-of-two node count, got {n}")
-            bits = n.bit_length() - 1
+            bits = (n - 1).bit_length()
             check_channel_count(config.n_channels + n * bits,
                                 f"a kademlia overlay of {n} nodes", "topology")
 
     def __init__(self, config, streams):
         super().__init__(config, streams)
         self.n = config.n_nodes
-        self.bits = max(1, (self.n - 1).bit_length())
+        self.bits = (self.n - 1).bit_length()
         self.schedules = self._draw_schedules()
         self.shortcuts = {}
         if self.params["variant"] == KADEMLIA:
             import numpy as np
-            # Row u holds the low ends of prefix_groups(u, bits). Group l
-            # spans 2**w ids, w = bits - l - 1, over which Stream.integers
-            # never rejects: it takes the top w bits of one 32-bit draw, and
-            # no draw for the last group's one id.
+            # Row u holds one peer per group l, the ids that share their
+            # first l bits with u and differ from it at bit l: the 2**w ids
+            # from ((u >> w) ^ 1) << w, w = bits - l - 1. Over such a range
+            # Stream.integers never rejects: it takes the top w bits of one
+            # 32-bit draw, and no draw for the last group's one id.
             shift = np.arange(self.bits - 1, -1, -1)
             lo = ((np.arange(self.n)[:, None] >> shift) ^ 1) << shift
             draws = halves(streams.topology(), self.n * (self.bits - 1))

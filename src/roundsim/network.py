@@ -153,11 +153,9 @@ class CompleteAdjacency(dict):
 
 
 class Channel:
-    """Unicast link from one sender to one receiver.
-
-    A channel whose law draws holds its stream as a `Stream` in rng; rng
-    is None when the law never draws (deterministic delay, no loss).
-    """
+    """Unicast link from one sender to one receiver, holding its stream,
+    keyed by (sender, receiver), as a `Stream` in rng. `Network.send`
+    opens channels only on a drawing law."""
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
                  "last_delivery_round", "rng", "_enlam")
@@ -170,8 +168,7 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self.last_delivery_round = 0
-        self.rng = (Stream(streams.channel(sender, receiver))
-                    if _draws(delay, loss_probability) else None)
+        self.rng = Stream(streams.channel(sender, receiver))
         # exp(-rate) when the delay is 1 + Poisson(rate) with 0 < rate < 10,
         # which make_packet draws inline; None for any other law.
         rate = delay.mean - 1.0

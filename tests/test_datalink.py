@@ -2,9 +2,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from roundsim.config import parse_obj
+from roundsim.config import MAX_CHANNELS, parse_obj
 from roundsim.engine import run
-from roundsim.errors import MetricError
+from roundsim.errors import ConfigError, MetricError
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import LogDocument, LogRecord, RunLogger
@@ -51,6 +51,19 @@ def test_channel_capacity_sets_copy_count():
     value, doc = run_utility("sdl", algorithmParams={"channelCapacity": 2})
     assert doc.payloads("sent")[0]["copies"] == 7
     assert value == pytest.approx(1 / 7)
+
+
+def test_channel_capacity_is_held_to_the_channel_bound():
+    # 2 * 2097150 + 3 copies fit MAX_CHANNELS (2^22); one more does not.
+    # Only parsed: a run would stage millions of messages.
+    assert 2 * 2097150 + 3 <= MAX_CHANNELS < 2 * 2097151 + 3
+    for variant in ("abp", "sdl"):
+        config = link_config(variant, algorithmParams={"channelCapacity": 2097150})
+        assert config.algorithm_params["channelCapacity"] == 2097150
+        with pytest.raises(ConfigError) as refused:
+            link_config(variant, algorithmParams={"channelCapacity": 2097151})
+        assert str(refused.value) == ("algorithmParams.channelCapacity: "
+                                      "must be <= 2097150, got 2097151")
 
 
 def test_total_loss_delivers_nothing():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +11,7 @@ from roundsim.errors import ConfigError, MetricError
 from roundsim.node import NodeContext
 from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.base import get_algorithm
-from roundsim.algorithms.dht import (TAG_FORWARDED, common_prefix_len,
-                                     mean_hops, prefix_groups, ring_next_hop)
+from roundsim.algorithms.dht import TAG_FORWARDED, mean_hops, ring_next_hop
 from roundsim.runlog import LogDocument, LogRecord, RunLogger
 
 
@@ -19,6 +20,39 @@ def dht_config(variant, nodes, **overrides):
            "roundsPerComputation": 200, "seed": 31}
     obj.update(overrides)
     return parse_obj(obj)
+
+
+# The id geometry, written out as the reference for kademlia's shortcuts and
+# its lookup.
+
+def common_prefix_len(a, b, bits):
+    diff = a ^ b
+    if diff == 0:
+        return bits
+    return bits - diff.bit_length()
+
+
+def prefix_groups(node_id, bits):
+    """For each prefix length l, the id range [lo, hi) of peers sharing
+    the first l bits with node_id and differing at bit l."""
+    groups = []
+    for l in range(bits):
+        width = bits - l - 1
+        lo = ((node_id >> width) ^ 1) << width
+        groups.append((lo, lo + (1 << width)))
+    return groups
+
+
+def scan_next_hop(node_id, shortcuts, target, bits):
+    """The peer sharing the longest prefix with the target, provided it
+    beats the node's own; the lower id wins a tie."""
+    best, best_len = None, common_prefix_len(node_id, target, bits)
+    for peer in shortcuts:
+        length = common_prefix_len(peer, target, bits)
+        if length > best_len or (length == best_len and best is not None
+                                 and peer < best):
+            best, best_len = peer, length
+    return best
 
 
 # routing primitives ----------------------------------------------------------
@@ -70,6 +104,34 @@ def test_prefix_group_members_share_exactly_l_bits(node):
             assert common_prefix_len(node, member, bits) == l
 
 
+def kademlia_nodes(n, seed):
+    config = dht_config("kademlia", n, roundsPerComputation=1)
+    family = get_algorithm("kademlia")(config, StreamFactory(seed, 0))
+    return family.bits, [family.create_node(u) for u in range(n)]
+
+
+@pytest.mark.parametrize("seed", [3, 31])
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 9)])
+def test_kademlia_lookup_is_the_scan(n, seed):
+    # Every (node, target) pair of the family's real shortcuts.
+    bits, nodes = kademlia_nodes(n, seed)
+    for node in nodes:
+        for target in range(n):
+            if target != node.id:
+                assert node._kademlia_next_hop(target) == scan_next_hop(
+                    node.id, node.shortcuts, target, bits)
+
+
+def test_kademlia_lookup_is_the_scan_on_4096_nodes():
+    bits, nodes = kademlia_nodes(4096, 5)
+    rnd = random.Random(5)
+    for _ in range(4000):
+        node, target = rnd.choice(nodes), rnd.randrange(4096)
+        if target != node.id:
+            assert node._kademlia_next_hop(target) == scan_next_hop(
+                node.id, node.shortcuts, target, bits)
+
+
 # run-level -------------------------------------------------------------------
 
 def resolved(doc):
@@ -116,7 +178,7 @@ def test_kademlia_shortcut_lands_in_its_group():
 def test_kademlia_shortcuts_match_one_draw_per_group(n, seed):
     # Reference: one scalar draw per (node, prefix group), node by node.
     config = dht_config("kademlia", n, roundsPerComputation=1)
-    bits = max(1, (n - 1).bit_length())
+    bits = (n - 1).bit_length()
     rng = np.random.Generator(StreamFactory(seed, 0).topology())
     expected = {u: tuple(lo + int(rng.integers(hi - lo))
                          for lo, hi in prefix_groups(u, bits))

@@ -80,7 +80,8 @@ class ReferenceFabric:
 
 
 def fixed_law_reference(adjacency, delay):
-    channels = {(u, v): Channel(u, v, delay, 0.0, streams=None)
+    streams = StreamFactory(SEED, COMPUTATION)
+    channels = {(u, v): Channel(u, v, delay, 0.0, streams)
                 for u, vs in adjacency.items() for v in vs}
     return ReferenceFabric(
         adjacency, lambda sender, dest, payload, send_round:

@@ -85,10 +85,11 @@ def test_sample_delay_returns_a_python_int():
 
 
 def test_deterministic_lossless_channel_draws_nothing():
-    chan = Channel(0, 1, DelayDistribution.deterministic(2), 0.0, streams=None)
-    assert chan.rng is None
+    chan = make_channel(DelayDistribution.deterministic(2))
     packets = [chan.make_packet("m", r) for r in range(5)]
     assert [p.delivery_round for p in packets] == [2, 3, 4, 5, 6]
+    # The channel's next word is a fresh stream's first.
+    assert chan.rng.word() == Stream(StreamFactory(7, 0).channel(0, 1)).word()
 
 
 def test_loss_one_drops_everything():
@@ -238,8 +239,8 @@ def test_channels_open_on_first_send():
     refuse_unknown_edges(net)
     assert net.channels == {}
     assert [p.payload for p in net.collect_deliverable(3)[1]] == ["a"]
-    # Asked for one, it opens it; a channel that draws nothing has no stream.
-    assert net.channel(0, 1).rng is None
+    # Asked for one, it opens it.
+    net.channel(0, 1)
     assert list(net.channels) == [(0, 1)]
     with pytest.raises(ConfigError, match="no channel 1->2"):
         net.channel(1, 2)
@@ -357,8 +358,7 @@ def test_fixed_delay_branch_equals_make_packet():
     # same law is the reference for each of them.
     delay = DelayDistribution.deterministic(3)
     net = Network({0: (1,), 1: ()}, delay, 0.0, streams=None)
-    twin = Channel(0, 1, delay, 0.0, streams=None)
-    assert twin.rng is None
+    twin = make_channel(delay)
     rnd = random.Random(2)
     send_round = 0
     staged = []

@@ -338,6 +338,11 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
             b'"topology": {"kind": "complete", "nodes": 2}, '
             b'"algorithmParams": {"timeoutLimit": null}}',
      "algorithmParams.timeoutLimit: expected an integer, got None"),
+    ("run", b'{"algorithm": "sdl", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 2}, '
+            b'"algorithmParams": {"channelCapacity": 1000000000000}}',
+     "sim: algorithmParams.channelCapacity: must be <= 2097150, "
+     "got 1000000000000"),
     ("sweep", b'{"base": {"topology": {"kind": "complete", "nodes": 3}, '
               b'"roundsPerComputation": 5}, "axis": "seed", "points": [1], '
               b'"metric": "mean_latency"}',
@@ -390,7 +395,8 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "leader-misspelled", "sweep-seed-not-int", "sweep-seed-negative",
         "sweep-seed-above-64-bits", "sweep-params-not-object",
         "ring-without-nodes", "uniform-without-max", "uniform-max-above-int64",
-        "adjacency-key-repeated", "timeout-limit-null", "sweep-without-algorithm",
+        "adjacency-key-repeated", "timeout-limit-null", "sdl-capacity-too-large",
+        "sweep-without-algorithm",
         "sweep-variant-repeated", "sweep-algorithm-not-string",
         "sweep-axis-algorithm", "sweep-axis-variant", "run-directory",
         "sweep-directory", "bench-directory", "run-missing", "sweep-missing",
