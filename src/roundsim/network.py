@@ -10,9 +10,14 @@ constant and send rounds never go down, so it is FIFO as it is.
 Only a drawing law (loss, or a random delay) opens channels. Channels
 are unicast and FIFO by default, and opened on their first send; each
 builds its stream as it opens, keyed by (sender, receiver), so opening
-it late draws the same values. A packet's delivery round is fixed when
-it is staged: send round + sampled delay, clamped so delivery order
-matches staging order on FIFO channels.
+it late draws the same values. The first channel a network opens keys
+all of its computation's channels at once (`seedmix.ChannelKeys`):
+roundsim's batch port of numpy's SeedSequence mixing, checked against
+numpy, computes every edge's Philox key in one vectorised pass, 16 bytes
+an edge, and a channel builds its Philox from its key alone. A fixed law
+keys nothing. A packet's delivery round is fixed when it is staged: send
+round + sampled delay, clamped so delivery order matches staging order
+on FIFO channels.
 
 The engine stages each sender's whole out-buffer with one `Network.send`
 call. An entry is a unicast, `(receiver, payload)`, or a broadcast,
@@ -154,14 +159,16 @@ class CompleteAdjacency(dict):
 
 class Channel:
     """Unicast link from one sender to one receiver, holding its stream,
-    keyed by (sender, receiver), as a `Stream` in rng. `Network.send`
-    opens channels only on a drawing law."""
+    keyed by (sender, receiver), as a `Stream` in rng. `streams.channel`
+    gives its bit generator: a network passes its `seedmix.ChannelKeys`,
+    and a `StreamFactory` gives the same words. `Network.send` opens
+    channels only on a drawing law."""
 
     __slots__ = ("sender", "receiver", "delay", "loss_probability", "fifo",
                  "last_delivery_round", "rng", "_enlam")
 
     def __init__(self, sender: int, receiver: int, delay: DelayDistribution,
-                 loss_probability: float, streams: StreamFactory, fifo: bool = True):
+                 loss_probability: float, streams, fifo: bool = True):
         self.sender = sender
         self.receiver = receiver
         self.delay = delay
@@ -233,8 +240,10 @@ class Network:
                                  for u, vs in adjacency.items()}
         self._fixed = not _draws(delay, loss_probability)
         self._value = delay.value
+        self._streams = streams
+        self._keys = None  # ChannelKeys, made as the first channel opens
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
-                             streams=streams, fifo=fifo)
+                             fifo=fifo)
         self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
         # Fabric tags are resolved once here, never per message: each is
         # that tag's record list, or None when the tag is off.
@@ -260,7 +269,11 @@ class Network:
             if receiver not in neighbors or (receiver == sender
                                              and neighbors is self._everyone):
                 raise _no_channel(sender, receiver)
-            channel = self.channels[(sender, receiver)] = self._open(sender, receiver)
+            if self._keys is None:
+                from .seedmix import ChannelKeys  # loads numpy
+                self._keys = ChannelKeys(self._adjacency, self._streams)
+            channel = self.channels[(sender, receiver)] = self._open(
+                sender, receiver, streams=self._keys)
         return channel
 
     def send(self, sender: int, out, send_round: int) -> Optional[Packet]:

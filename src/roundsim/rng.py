@@ -26,10 +26,18 @@ on its workload stream, and its kademlia shortcuts from `halves` of its
 topology stream. No numpy `Generator` is built, so every draw of a run
 rests on SeedSequence, raw Philox words and this module.
 
-numpy is imported where a stream or seed is made, in `make_stream`
-and `derive_seed`, not when this module is. A run that builds no stream
-(a fixed law with nodes that never read `ctx.rng`) never loads numpy;
-any other run loads it at its first stream.
+Node, workload and topology streams, and `derive_seed`, are seeded by
+numpy's `SeedSequence`, which for one entropy tuple is faster than any
+port. Channel keys come from roundsim's batch port of SeedSequence's
+mixing, in `seedmix`, checked against numpy: it keys every channel of
+one computation in one vectorised pass, and `keyed_philox` builds a
+channel's Philox from its key, so a channel draws the words
+`make_stream(seed, computation, CHANNEL, sender, receiver)` would.
+
+numpy is imported where a stream, a key or a seed is made, not when
+this module is. A run that builds no stream (a fixed law with nodes
+that never read `ctx.rng`) never loads numpy; any other run loads it at
+its first stream.
 """
 
 from array import array
@@ -84,6 +92,13 @@ def derive_seed(seed: int, domain: int, *key: int) -> int:
     return int(state[0])
 
 
+def keyed_philox(seed_seq) -> "numpy.random.Philox":
+    """A Philox seeded by `seed_seq`, which hands it a precomputed key
+    (`seedmix.KeyedSeed`), so that every stream is built in this module."""
+    import numpy as np
+    return np.random.Philox(seed_seq)
+
+
 class StreamFactory:
     """Stream source for one computation of a run."""
 
@@ -95,6 +110,8 @@ class StreamFactory:
         return make_stream(self.seed, self.computation, NODE, node_id)
 
     def channel(self, sender: int, receiver: int) -> "numpy.random.Philox":
+        # A network keys its channels in one batch (seedmix.ChannelKeys);
+        # this scalar path is the reference they match.
         return make_stream(self.seed, self.computation, CHANNEL, sender, receiver)
 
     def workload(self) -> "numpy.random.Philox":

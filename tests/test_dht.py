@@ -261,10 +261,23 @@ def test_dht_schedule_is_capped_before_it_is_drawn():
 
 
 def test_kademlia_never_needs_the_xor_fallback():
-    doc = run(dht_config("kademlia", 32))
-    forwarded = doc.payloads("queryForwarded")
+    # Every hop the log shows takes the query strictly closer to its
+    # target: the next node's XOR distance to it has fewer bits than the
+    # forwarding node's, so no hop needs a fallback route.
+    config = dht_config("kademlia", 32)
+    family = get_algorithm("kademlia")(config, StreamFactory(config.seed, 0))
+    targets = {qid: target for schedule in family.schedules.values()
+               for queries in schedule.values() for qid, target in queries}
+    doc = run(config)
+    resolved = doc.payloads("queryResolved")
+    assert resolved
+    assert all(targets[r["query"]] == r["target"] for r in resolved)
+    forwarded = doc.records("queryForwarded")
     assert forwarded
-    assert not any(f["fallback"] for f in forwarded)
+    for record in forwarded:
+        target = targets[record.payload["query"]]
+        assert ((record.payload["to"] ^ target).bit_length()
+                < (record.node ^ target).bit_length()), record
 
 
 def test_self_targeted_queries_resolve_in_zero_hops():

@@ -6,8 +6,8 @@ import pytest
 from roundsim.config import load_file, parse_obj
 from roundsim.engine import GEN0_THRESHOLD, Engine, run
 from roundsim.network import Channel
-from roundsim.rng import StreamFactory
 from roundsim.runlog import serialize
+from roundsim.seedmix import ChannelKeys
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, get_algorithm, register
 
 from logcheck import assert_same_log
@@ -147,13 +147,16 @@ def recorded_calls(monkeypatch, cls, name):
 
 def test_only_a_drawing_law_opens_channels(monkeypatch):
     opened = recorded_calls(monkeypatch, Channel, "__init__")
-    streams = recorded_calls(monkeypatch, StreamFactory, "channel")
+    keyed = recorded_calls(monkeypatch, ChannelKeys, "__init__")
+    streams = recorded_calls(monkeypatch, ChannelKeys, "channel")
     engine = Engine(tick_config())  # deterministic delay 1, no loss
     engine.run()
     assert engine.stats["sent"] == 2 * 4 * 3 * 3
-    assert opened == [] and streams == []
-    # With loss every edge of both computations opens once, with its stream.
+    assert opened == [] and keyed == [] and streams == []
+    # With loss each computation keys its channels once, and every edge
+    # of both computations opens once, with its stream from those keys.
     run(tick_config(lossProbability=0.1))
+    assert len(keyed) == 2
     assert len(opened) == len(streams) == 2 * 4 * 3
     assert sorted(streams) == sorted(args[:2] for args in opened)
 

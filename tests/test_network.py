@@ -1,14 +1,18 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from roundsim.config import load_file
+from roundsim.engine import run
 from roundsim.errors import ConfigError
 from roundsim.network import (Channel, CompleteAdjacency, DelayDistribution,
                               Network, Packet, sample_delay)
-from roundsim.rng import Stream, StreamFactory
+from roundsim.rng import CHANNEL, Stream, StreamFactory, make_stream
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
+from roundsim.seedmix import ChannelKeys
 
 from logcheck import assert_same_log
 
@@ -488,3 +492,146 @@ def test_fixed_law_fabric_stamps_without_streams():
     net.send(0, ((1, "m"), (1, "n")), 4)
     assert [(r.computation, r.round, r.payload["deliveryRound"])
             for r in logger.document.records(NET_SEND)] == [(3, 4, 5)] * 2
+
+
+# Channel keys: the batch keying against make_stream ------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def first_words(stream, count=16):
+    return [stream.word() for _ in range(count)]
+
+
+def reference_words(streams, sender, receiver, count=16):
+    return first_words(Stream(make_stream(streams.seed, streams.computation,
+                                          CHANNEL, sender, receiver)), count)
+
+
+@pytest.mark.parametrize("name", ["bitcoin-lossy", "chord-lossy", "abp", "sdl"])
+def test_every_channel_a_drawing_config_opens_is_make_streams(monkeypatch, name):
+    tables, opened = {}, []
+    build, open_channel = ChannelKeys.__init__, ChannelKeys.channel
+
+    def keying(self, adjacency, streams):
+        tables[id(self)] = (self, streams)  # holding self keeps ids unique
+        build(self, adjacency, streams)
+
+    def opening(self, sender, receiver):
+        bit_generator = open_channel(self, sender, receiver)
+        opened.append((tables[id(self)][1], sender, receiver,
+                       bit_generator.state))
+        return bit_generator
+
+    monkeypatch.setattr(ChannelKeys, "__init__", keying)
+    monkeypatch.setattr(ChannelKeys, "channel", opening)
+    config = load_file(CONFIGS / f"{name}.json")
+    run(config)
+    assert len(tables) == config.computations_per_run
+    assert opened
+    for streams, sender, receiver, state in opened:
+        want = make_stream(streams.seed, streams.computation, CHANNEL, sender,
+                           receiver)
+        assert (state["state"]["key"].tolist()
+                == want.state["state"]["key"].tolist())
+        got = np.random.Philox()
+        got.state = state
+        assert got.random_raw(16).tolist() == want.random_raw(16).tolist()
+
+
+# Rows out of order, ids of one and of two words, and ids past 64 bits,
+# which a key masks as make_stream does.
+WIDE_IDS = [7, 2 ** 32 + 9, 0, 2 ** 64 - 1, 3, 2 ** 32, 2 ** 70 + 11]
+
+
+def wide_adjacency(seed=3):
+    pick = random.Random(seed)
+    rows = {}
+    for u in WIDE_IDS:
+        row = [v for v in WIDE_IDS if v != u and pick.random() < 0.8]
+        pick.shuffle(row)
+        rows[u] = tuple(row)
+    return rows
+
+
+def test_channel_keys_follow_an_unsorted_explicit_adjacency_of_wide_ids():
+    adjacency = wide_adjacency()
+    assert any(list(row) != sorted(row) for row in adjacency.values())
+    streams = StreamFactory(2 ** 40 + 1, 3)
+    keys = ChannelKeys(adjacency, streams)
+    edges = [(u, v) for u, row in adjacency.items() for v in row]
+    random.Random(5).shuffle(edges)
+    net = Network(adjacency, DelayDistribution.uniform(1, 3), 0.25, streams)
+    for u, v in edges:
+        want = make_stream(streams.seed, streams.computation, CHANNEL, u, v)
+        assert (keys.channel(u, v).state["state"]["key"].tolist()
+                == want.state["state"]["key"].tolist())
+        assert first_words(net.channel(u, v).rng) == reference_words(streams, u, v)
+
+
+def test_a_channel_opened_late_draws_what_an_early_one_draws():
+    adjacency = wide_adjacency()
+    law, loss, streams = DelayDistribution.poisson(2.5), 0.1, StreamFactory(4, 2)
+    u, v = WIDE_IDS[1], adjacency[WIDE_IDS[1]][-1]
+    early = Network(adjacency, law, loss, streams)
+    words = first_words(early.channel(u, v).rng)
+    # The other network keys its channels on another edge's first send,
+    # broadcasts from every node for a while, and only then opens (u, v).
+    late = Network(adjacency, law, loss, streams)
+    for round_ in range(20):
+        for sender in WIDE_IDS:
+            if sender != u:
+                late.send(sender, [(None, round_)], round_)
+    assert (u, v) not in late.channels and len(late.channels) > 1
+    assert first_words(late.channel(u, v).rng) == words
+
+
+class ScannedRow(tuple):
+    """An adjacency row that counts how often it is scanned."""
+
+    def __new__(cls, values):
+        row = super().__new__(cls, values)
+        row.scans = 0
+        return row
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def __contains__(self, value):
+        self.scans += 1
+        return super().__contains__(value)
+
+    def index(self, *args):
+        self.scans += 1
+        return super().index(*args)
+
+
+def test_opening_every_channel_scans_each_row_at_most_once():
+    # Keying reads each row once; then a row's first opened channel maps
+    # that row, and every later open is a lookup, so opening every channel
+    # costs O(channels) in all.
+    pick = random.Random(8)
+    adjacency = {u: ScannedRow(pick.sample([v for v in range(60) if v != u], 40))
+                 for u in range(60)}
+    keys = ChannelKeys(adjacency, StreamFactory(1, 0))
+    assert {row.scans for row in adjacency.values()} == {1}
+    for row in adjacency.values():
+        row.scans = 0
+    edges = [(u, v) for u, row in adjacency.items() for v in tuple.__iter__(row)]
+    pick.shuffle(edges)
+    for u, v in edges:
+        keys.channel(u, v)
+    assert {row.scans for row in adjacency.values()} == {1}
+    # A complete row's channel is found by arithmetic, with no scan.
+    complete = CompleteAdjacency(30)
+    for u in complete:
+        complete[u] = ScannedRow(complete[u])
+    keys = ChannelKeys(complete, StreamFactory(1, 0))
+    for row in complete.values():
+        row.scans = 0
+    for u, row in complete.items():
+        for v in tuple.__iter__(row):
+            assert (keys.channel(u, v).state["state"]["key"].tolist()
+                    == make_stream(1, 0, CHANNEL, u, v).state["state"]["key"].tolist())
+    assert {row.scans for row in complete.values()} == {0}

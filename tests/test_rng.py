@@ -3,11 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roundsim.network import Channel, DelayDistribution
 from roundsim.node import NodeContext
-from roundsim.rng import (NODE, SWEEP, TOPOLOGY, Stream, StreamFactory,
-                          derive_seed, halves, make_stream)
+from roundsim.rng import (CHANNEL, NODE, SWEEP, TOPOLOGY, Stream, StreamFactory,
+                          derive_seed, halves, keyed_philox, make_stream)
+from roundsim.seedmix import KeyedSeed, seed_keys
+
+MASK64 = 2 ** 64 - 1
 
 
 def test_same_key_same_stream():
@@ -56,6 +60,67 @@ def test_negative_keys_are_masked():
     # genesis-style ids (-1) must not crash the entropy packing
     rng = make_stream(1, 0, 2, -1)
     assert isinstance(rng, np.random.Philox)
+
+
+# The batch port of SeedSequence against numpy ---------------------------------
+
+# Ids at the word boundaries, any 64-bit id (two words from 2^32 on), and
+# ids past 64 bits masked as make_stream masks them.
+IDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]),
+                st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, MASK64),
+                st.integers(2 ** 64, 2 ** 80).map(lambda v: v & MASK64))
+# A channel's entropy, seeds of 2^32 and above included, or any short
+# tuple of ids: fewer words than SeedSequence's pool of 4 takes its other
+# branch.
+ENTROPIES = st.one_of(
+    st.tuples(IDS, st.integers(0, 2 ** 33), st.just(CHANNEL), IDS, IDS),
+    st.lists(IDS, min_size=1, max_size=3).map(tuple))
+
+
+def entropy_words(entropy):
+    """numpy's entropy words of a tuple of ints: each int's 32-bit words,
+    low word first, one word for 0."""
+    words = []
+    for value in entropy:
+        words.append(value & 0xFFFFFFFF)
+        while value >> 32:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(ENTROPIES, min_size=1, max_size=12))
+def test_seed_keys_port_is_numpy_seed_sequence(entropies):
+    by_count = {}
+    for entropy in entropies:
+        by_count.setdefault(len(entropy_words(entropy)), []).append(entropy)
+    for group in by_count.values():
+        keys = seed_keys(np.array([entropy_words(e) for e in group], np.uint32))
+        assert keys.dtype == np.uint64 and keys.shape == (len(group), 2)
+        for entropy, key in zip(group, keys):
+            want = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+            assert key.tolist() == want.tolist(), entropy
+            words = keyed_philox(KeyedSeed(key)).random_raw(16).tolist()
+            assert words == np.random.Philox(
+                np.random.SeedSequence(entropy)).random_raw(16).tolist()
+            if len(entropy) == 5:  # a channel's: make_stream's words too
+                seed, computation, _, sender, receiver = entropy
+                assert words == make_stream(seed, computation, CHANNEL, sender,
+                                            receiver).random_raw(16).tolist()
+
+
+def test_a_keyed_philox_hands_out_only_its_key():
+    key = np.array([3, 5], np.uint64)
+    bit_generator = keyed_philox(KeyedSeed(key))
+    assert bit_generator.state["state"]["key"].tolist() == [3, 5]
+    assert bit_generator.state["state"]["counter"].tolist() == [0] * 4
+    seed_seq = bit_generator._seed_seq
+    assert seed_seq.generate_state(2, np.uint64) is key
+    assert seed_seq.generate_state(2, np.dtype(np.uint64)) is key
+    for args in ((2,), (4, np.uint64), (2, np.uint32), (1, np.uint64)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            seed_seq.generate_state(*args)
 
 
 # Stream's samplers against numpy ----------------------------------------------
