@@ -3,9 +3,12 @@
 Each round is three strict phases: receive (collect the round's
 arrivals), compute (every awake node acts once, in ascending id order,
 with its arrivals as its in-stream), send (stage the awake nodes'
-outboxes into the fabric in ascending sender order, one `Network.send`
-call per sender with a non-empty out-buffer; a broadcast is one
+outboxes into the fabric in ascending sender order, in one `Network.send`
+call per round that takes every non-empty out-buffer; a broadcast is one
 `(None, payload)` entry, which the fabric expands in neighbour order).
+The compute loop gathers the out-buffers as it goes, so a round makes
+one pass over its awake nodes; a round in which a node faults stages
+nothing.
 Execution is serial: workerCount is accepted and validated but does not
 change how a run executes, so the log is the same for any value of it.
 
@@ -91,7 +94,8 @@ class Engine:
             logger.round = round_
 
             # Receive and compute: a node's in-stream is the list of
-            # packets due to it this round, set right before it acts.
+            # packets due to it this round, set right before it acts and
+            # dropped right after, which frees an idle node's last list.
             arrivals = network.collect_deliverable(round_)
             if schedule is None:
                 awake = members
@@ -101,6 +105,7 @@ class Engine:
                 awake = [by_id[nid] for nid in sorted(ids)]
             self.stats["computed"] += len(awake)
             fault = None
+            outboxes = []
             for nid, node, ctx in awake:
                 ctx.round = round_
                 ctx.in_stream = arrivals.get(nid, ())
@@ -109,20 +114,22 @@ class Engine:
                 except Exception as exc:  # node faults abort the computation
                     if fault is None:
                         fault = (nid, exc)
+                ctx.in_stream = ()
+                out = ctx.out_buffer
+                if out:
+                    outboxes.append((nid, out))
             if fault is not None:
                 nid, exc = fault
                 logger.append(ERROR_TAG, {"node": nid, "type": type(exc).__name__,
                                           "message": str(exc)}, node=nid)
                 break
 
-            # Send: each out-buffer enters the fabric in one call, in
-            # ascending sender order; a node that did not act sends nothing.
-            # Dropping the in-stream here frees an idle node's last list.
-            for nid, _, ctx in awake:
-                ctx.in_stream = ()
-                out = ctx.out_buffer
-                if out:
-                    network.send(nid, out, round_)
+            # Send: the round's out-buffers enter the fabric in one call,
+            # in ascending sender order; a node that did not act sends
+            # nothing.
+            if outboxes:
+                network.send(outboxes, round_)
+                for _, out in outboxes:
                     out.clear()
 
             algo.end_of_round(round_, nodes, logger)

@@ -19,10 +19,12 @@ keys nothing. A packet's delivery round is fixed when it is staged: send
 round + sampled delay, clamped so delivery order matches staging order
 on FIFO channels.
 
-The engine stages each sender's whole out-buffer with one `Network.send`
-call. An entry is a unicast, `(receiver, payload)`, or a broadcast,
-`(None, payload)`, which goes to each of the sender's neighbours in
-neighbour order. On a fixed law an entry builds one `Packet` and files
+The engine stages a round's sends with one `Network.send` call, which
+takes the round's non-empty out-buffers as `(sender, out)` pairs in
+ascending sender order, so the fabric's per-call set-up is paid once per
+round, not once per sender. An entry is a unicast, `(receiver,
+payload)`, or a broadcast, `(None, payload)`, which goes to each of the
+sender's neighbours in neighbour order. On a fixed law an entry builds one `Packet` and files
 that same packet under each of its receivers. On a drawing law each
 receiver gets its own packet from its channel, with its own loss trial
 and delay. Packets are filed under their delivery round and receiver, so
@@ -276,9 +278,11 @@ class Network:
                 sender, receiver, streams=self._keys)
         return channel
 
-    def send(self, sender: int, out, send_round: int) -> Optional[Packet]:
-        """Stage one sender's out-buffer in order; returns the last packet
-        built, or None if that message was lost or nothing was built.
+    def send(self, outboxes, send_round: int) -> Optional[Packet]:
+        """Stage a round's out-buffers: `outboxes` holds `(sender, out)`
+        pairs in ascending sender order, and each out-buffer is staged in
+        order. Returns the last packet built, or None if that message was
+        lost or nothing was built.
 
         An entry is `(receiver, payload)` for one message, or
         `(None, payload)` for a broadcast: one message to each of the
@@ -288,76 +292,83 @@ class Network:
         neighbours builds none. On a drawing law each message is built by
         its channel's `Channel.make_packet`; a broadcast walks the
         sender's channels, all opened on its first broadcast. An unknown
-        edge raises mid-buffer, and the messages staged before it stay
-        counted. The topology's shape was resolved when the network was
-        built: a send looks up only the sender's map.
+        edge raises mid-buffer: the messages staged before it stay
+        counted, and later senders stage nothing. The topology's shape
+        was resolved when the network was built, and the call resolves
+        the law's state once, so each sender costs one map lookup.
         """
         buckets, send_log = self._buckets, self._send_log
-        computation = self._computation
+        computation, adjacency = self._computation, self._adjacency
         packet = None
         sent = dropped = 0
         try:
             if self._fixed:
-                neighbors = self.neighbor_ids.get(sender, ())
+                neighbor_ids, everyone = self.neighbor_ids, self._everyone
                 value = self._value
                 delivery = send_round + value
                 by_dest = buckets[delivery]
+                for sender, out in outboxes:
+                    neighbors = neighbor_ids.get(sender, ())
+                    for receiver, payload in out:
+                        if receiver is not None:
+                            if receiver not in neighbors or (
+                                    receiver == sender
+                                    and neighbors is everyone):
+                                raise _no_channel(sender, receiver)
+                            dests = (receiver,)
+                        else:
+                            dests = adjacency.get(sender, ())
+                            if not dests:
+                                continue
+                        packet = _new_tuple(Packet, (sender, send_round, value,
+                                                     delivery, payload))
+                        for dest in dests:
+                            packets = by_dest.get(dest)
+                            if packets is None:
+                                by_dest[dest] = [packet]
+                            else:
+                                packets.append(packet)
+                            if send_log is not None:
+                                send_log.append(_new_tuple(SendRecord, (
+                                    computation, delivery, sender, dest,
+                                    send_round)))
+                        sent += len(dests)
+                return packet
+
+            channels, drop_log, fans = self.channels, self._drop_log, self._fans
+            open_channel = self.channel
+            for sender, out in outboxes:
                 for receiver, payload in out:
                     if receiver is not None:
-                        if receiver not in neighbors or (
-                                receiver == sender
-                                and neighbors is self._everyone):
-                            raise _no_channel(sender, receiver)
-                        dests = (receiver,)
+                        fan = (channels.get((sender, receiver))
+                               or open_channel(sender, receiver),)
                     else:
-                        dests = self._adjacency.get(sender, ())
-                        if not dests:
+                        fan = fans.get(sender)
+                        if fan is None:
+                            fan = fans[sender] = [
+                                open_channel(sender, dest)
+                                for dest in adjacency.get(sender, ())]
+                    for channel in fan:
+                        packet = channel.make_packet(payload, send_round)
+                        if packet is None:
+                            dropped += 1
+                            if drop_log is not None:
+                                drop_log.append(_new_tuple(DropRecord, (
+                                    computation, sender, channel.receiver,
+                                    send_round)))
                             continue
-                    packet = _new_tuple(Packet, (sender, send_round, value,
-                                                 delivery, payload))
-                    for dest in dests:
+                        dest, delivery = channel.receiver, packet[3]
+                        by_dest = buckets[delivery]
                         packets = by_dest.get(dest)
                         if packets is None:
                             by_dest[dest] = [packet]
                         else:
                             packets.append(packet)
+                        sent += 1
                         if send_log is not None:
                             send_log.append(_new_tuple(SendRecord, (
-                                computation, delivery, sender, dest, send_round)))
-                    sent += len(dests)
-                return packet
-
-            channels, drop_log, fans = self.channels, self._drop_log, self._fans
-            for receiver, payload in out:
-                if receiver is not None:
-                    fan = (channels.get((sender, receiver))
-                           or self.channel(sender, receiver),)
-                else:
-                    fan = fans.get(sender)
-                    if fan is None:
-                        fan = fans[sender] = [
-                            self.channel(sender, dest)
-                            for dest in self._adjacency.get(sender, ())]
-                for channel in fan:
-                    packet = channel.make_packet(payload, send_round)
-                    if packet is None:
-                        dropped += 1
-                        if drop_log is not None:
-                            drop_log.append(_new_tuple(DropRecord, (
-                                computation, sender, channel.receiver,
+                                computation, delivery, sender, dest,
                                 send_round)))
-                        continue
-                    dest, delivery = channel.receiver, packet[3]
-                    by_dest = buckets[delivery]
-                    packets = by_dest.get(dest)
-                    if packets is None:
-                        by_dest[dest] = [packet]
-                    else:
-                        packets.append(packet)
-                    sent += 1
-                    if send_log is not None:
-                        send_log.append(_new_tuple(SendRecord, (
-                            computation, delivery, sender, dest, send_round)))
         finally:  # an unknown edge raises mid-buffer; count what was staged
             self.total_sent += sent
             self.total_dropped += dropped
@@ -366,8 +377,8 @@ class Network:
     def enqueue(self, sender: int, receiver: int, payload, send_round: int) -> Optional[Packet]:
         """Stage one message; its packet, or None if it was lost. Kept
         because perfbench's tracer and its tests name it; the engine calls
-        `send`."""
-        return self.send(sender, ((receiver, payload),), send_round)
+        `send` once per round."""
+        return self.send(((sender, ((receiver, payload),)),), send_round)
 
     def collect_deliverable(self, round_: int) -> dict:
         """Packets whose delivery round has arrived, as {receiver: [Packet]}.
@@ -381,13 +392,14 @@ class Network:
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:
             return {}
-        deliver_log, computation = self._deliver_log, self._computation
-        for dest, packets in by_dest.items():
-            count = len(packets)
-            self.total_delivered += count
-            if count > 1:  # a single packet is in order already
+        for packets in by_dest.values():
+            if len(packets) > 1:  # a single packet is in order already
                 packets.sort(key=_by_source)
-            if deliver_log is not None:
-                deliver_log.extend([_new_tuple(DeliverRecord, (
-                    computation, p[0], p[1], dest, round_)) for p in packets])
+        self.total_delivered += sum(map(len, by_dest.values()))
+        deliver_log = self._deliver_log
+        if deliver_log is not None:
+            computation = self._computation
+            deliver_log.extend([
+                _new_tuple(DeliverRecord, (computation, p[0], p[1], dest, round_))
+                for dest, packets in by_dest.items() for p in packets])
         return by_dest

@@ -54,11 +54,12 @@ class NodeContext:
 
     def broadcast(self, payload) -> None:
         """Stage payload for every neighbor as one `(None, payload)`
-        entry; a node with no neighbors stages nothing. `Network.send`
-        delivers it to each neighbor, in the order of `neighbors`: on a
-        fixed law as one packet that every neighbor receives, on a drawing
-        law as one message per neighbor with its own loss trial and delay
-        sample."""
+        entry; a node with no neighbors stages nothing. The engine hands
+        the out-buffer to the round's one `Network.send` call, which
+        delivers the entry to each neighbor, in the order of `neighbors`:
+        on a fixed law as one packet that every neighbor receives, on a
+        drawing law as one message per neighbor with its own loss trial
+        and delay sample."""
         if self.neighbors:
             self.out_buffer.append((None, payload))
 

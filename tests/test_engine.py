@@ -108,6 +108,22 @@ def test_node_fault_aborts_the_computation():
     assert {r.computation for r in doc.records("tick")} == {0, 1}
 
 
+def test_a_fault_on_a_fixed_law_stages_nothing_from_its_round():
+    # Node 2 faults in round 1. Nodes 0 and 1 broadcast before it and node
+    # 3 after it in that round; none of those sends may reach the fabric.
+    engine = Engine(tick_config(algorithmParams={"failAt": [2, 1]},
+                                computationsPerRun=1,
+                                logTags=["tick", "net.send", "net.deliver"]))
+    doc = engine.run()
+    assert [(r.round, r.node) for r in doc.records("tick") if r.round == 1] \
+        == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    sends = doc.records("net.send")
+    assert {r.round for r in sends} == {0}
+    assert len(sends) == engine.stats["sent"] == 4 * 3
+    # Round 0's sends arrive in round 1, before the fault.
+    assert len(doc.records("net.deliver")) == engine.stats["delivered"] == 4 * 3
+
+
 def test_fault_in_one_worker_mode_matches_the_other():
     config = tick_config(algorithmParams={"failAt": [1, 2]},
                          roundsPerComputation=5)

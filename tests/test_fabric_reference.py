@@ -10,7 +10,8 @@ one message per neighbour, in neighbour order.
 
 On a fixed law (deterministic delay, no loss) the reference builds each
 packet with `Channel.make_packet`, while `Network.send` stages a whole
-call under one delivery round without opening channels. On a drawing law
+round, every sender's out-buffer in one call, under one delivery round
+without opening channels. On a drawing law
 the reference does not go through `Channel` at all: it draws from each
 edge's `StreamFactory.channel` through a numpy `Generator`, with numpy's
 own samplers, by the formula written out here (loss trial, then delay, then
@@ -51,21 +52,23 @@ class ReferenceFabric:
             else:
                 yield dest, payload
 
-    def send(self, sender, out, send_round):
+    def send(self, outboxes, send_round):
         packet = None
-        for dest, payload in self.messages(sender, out):
-            packet = self.packet_for(sender, dest, payload, send_round)
-            if packet is None:
-                self.records[NET_DROP].append((COMPUTATION, send_round, None, {
-                    "from": sender, "to": dest}))
-                self.dropped += 1
-                continue
-            by_dest = self.schedule.setdefault(packet.delivery_round, {})
-            by_dest.setdefault(dest, []).append(packet)
-            self.records[NET_SEND].append((COMPUTATION, send_round, None, {
-                "from": sender, "to": dest,
-                "deliveryRound": packet.delivery_round}))
-            self.sent += 1
+        for sender, out in outboxes:
+            for dest, payload in self.messages(sender, out):
+                packet = self.packet_for(sender, dest, payload, send_round)
+                if packet is None:
+                    self.records[NET_DROP].append((
+                        COMPUTATION, send_round, None,
+                        {"from": sender, "to": dest}))
+                    self.dropped += 1
+                    continue
+                by_dest = self.schedule.setdefault(packet.delivery_round, {})
+                by_dest.setdefault(dest, []).append(packet)
+                self.records[NET_SEND].append((COMPUTATION, send_round, None, {
+                    "from": sender, "to": dest,
+                    "deliveryRound": packet.delivery_round}))
+                self.sent += 1
         return packet
 
     def collect(self, round_):
@@ -160,17 +163,20 @@ def arrivals(by_dest):
 
 
 def drive(net, ref, rounds, extra_rounds):
-    """Send `rounds` of buffers on both, then only deliver for
-    `extra_rounds` more, checking every delivery, return and counter."""
+    """Send `rounds` of buffers on both, a round in one call, then only
+    deliver for `extra_rounds` more, checking every delivery, return and
+    counter."""
     payload = 0
     for round_, buffers in enumerate(rounds + [[]] * extra_rounds):
         # Receiver order counts too: it is the order of first staging.
         assert arrivals(net.collect_deliverable(round_)) == \
             arrivals(ref.collect(round_))
+        outboxes = []
         for sender, dests in buffers:
-            out = [(dest, payload + i) for i, dest in enumerate(dests)]
-            payload += len(out)
-            assert net.send(sender, out, round_) == ref.send(sender, out, round_)
+            outboxes.append((sender, [(dest, payload + i)
+                                      for i, dest in enumerate(dests)]))
+            payload += len(dests)
+        assert net.send(outboxes, round_) == ref.send(outboxes, round_)
         assert (net.total_sent, net.total_delivered, net.total_dropped,
                 net.in_flight) == (ref.sent, ref.delivered, ref.dropped,
                                    ref.sent - ref.delivered)
@@ -266,7 +272,7 @@ def test_sender_without_neighbors_stages_nothing(delay, loss):
     ctx.broadcast("x")
     assert ctx.out_buffer == []
     # A broadcast entry handed to the fabric directly expands to nothing.
-    assert net.send(2, [(None, "x")], 0) is None
+    assert net.send([(2, [(None, "x")])], 0) is None
     assert (net.total_sent, net.total_dropped) == (0, 0)
     assert net.channels == {}
     assert not any(logger.document.records(tag)

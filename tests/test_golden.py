@@ -1,7 +1,8 @@
 """Golden log digests: the SHA-256 of the canonical log of every bundled
-config, plus a node-fault run with every fabric trace tag, a run whose
-`net.send` mixes record kinds in some computations only, and of the JSON
-metric table of every bundled sweep.
+config (`configs/bench/*.json` under `bench/<file>`), plus a node-fault
+run with every fabric trace tag, a run whose `net.send` mixes record
+kinds in some computations only, and of the JSON metric table of every
+bundled sweep.
 
 Any change that alters log bytes fails here. A deliberate change
 regenerates the digests and says why:
@@ -89,6 +90,8 @@ def cases():
     """Case name -> RunConfig, in a fixed order."""
     out = {path.name: load_file(path)
            for path in sorted((ROOT / "configs").glob("*.json"))}
+    out.update((f"bench/{path.name}", load_file(path))
+               for path in sorted((ROOT / "configs" / "bench").glob("*.json")))
     out[FAULT_CASE] = _fault_config()
     out[MIXED_CASE] = _mixed_config()
     return out
@@ -117,7 +120,7 @@ def golden():
 
 
 def test_golden_cases_cover_every_bundled_config():
-    assert len(cases()) == 12
+    assert len(cases()) == 13
     assert len(sweep_cases()) == 4
     assert set(cases()) | set(sweep_cases()) == set(golden())
 

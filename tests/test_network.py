@@ -223,7 +223,7 @@ def test_channels_open_on_first_send():
                 net.enqueue(sender, receiver, "m", 0)
         # Mid-buffer: the message staged before the unknown edge counts.
         with pytest.raises(ConfigError, match="no channel 0->0"):
-            net.send(0, [(1, "a"), (0, "b"), (2, "c")], 2)
+            net.send([(0, [(1, "a"), (0, "b"), (2, "c")])], 2)
         assert (net.total_sent, net.in_flight) == (3, 3)
 
     # A drawing law opens a channel on its edge's first send, and none
@@ -259,12 +259,12 @@ def test_complete_topology_refuses_a_send_to_oneself(delay):
     assert len({id(ids) for ids in net.neighbor_ids.values()}) == 1
     assert net.neighbor_ids[0] == {0: 0, 1: 1, 2: 2, 3: 3}
     with pytest.raises(ConfigError, match="topology: no channel 1->1"):
-        net.send(1, [(0, "a"), (1, "b"), (2, "c")], 0)
+        net.send([(1, [(0, "a"), (1, "b"), (2, "c")])], 0)
     assert (net.total_sent, net.in_flight) == (1, 1)
     with pytest.raises(ConfigError, match="topology: no channel 2->2"):
         net.channel(2, 2)
     # Broadcasts go to the neighbours alone, in row order.
-    net.send(3, [(None, "d")], 1)
+    net.send([(3, [(None, "d")])], 1)
     assert net.total_sent == 4
     assert sorted((dest, p.payload) for r in range(1, 5)
                   for dest, ps in net.collect_deliverable(r).items()
@@ -280,7 +280,7 @@ def test_an_explicit_complete_adjacency_keeps_a_map_per_node():
     assert len({id(ids) for ids in net.neighbor_ids.values()}) == 4
     assert net.neighbor_ids[0] == {1: 1, 2: 2, 3: 3}
     with pytest.raises(ConfigError, match="topology: no channel 1->1"):
-        net.send(1, [(0, "a"), (1, "b")], 0)
+        net.send([(1, [(0, "a"), (1, "b")])], 0)
     assert (net.total_sent, net.in_flight) == (1, 1)
 
 
@@ -289,10 +289,10 @@ def test_an_explicit_complete_adjacency_keeps_a_map_per_node():
                          ids=["fixed", "drawing"])
 def test_explicit_self_loop_still_carries_messages(delay):
     net = make_network({0: (0, 1), 1: (0,)}, delay)
-    net.send(0, [(0, "self"), (None, "all")], 0)
+    net.send([(0, [(0, "self"), (None, "all")])], 0)
     assert net.total_sent == 3
     with pytest.raises(ConfigError, match="no channel 1->1"):
-        net.send(1, [(1, "x")], 0)
+        net.send([(1, [(1, "x")])], 0)
 
 
 def test_network_counters():
@@ -320,41 +320,90 @@ def test_identical_seeds_identical_traffic():
     assert trace(9) != trace(10)
 
 
-def test_one_send_per_sender_matches_per_message_enqueues():
+ROUND_LAWS = pytest.mark.parametrize("delay,loss", [
+    (DelayDistribution.deterministic(2), 0.0),
+    (DelayDistribution.poisson(2.5), 0.1),
+], ids=["fixed", "drawing"])
+
+
+def logged_fabric(adjacency, delay, loss):
+    logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], 0)
+    return logger, Network(adjacency, delay, loss, StreamFactory(8, 0),
+                           logger=logger)
+
+
+def counters(net):
+    return (net.in_flight, net.total_sent, net.total_dropped,
+            net.total_delivered)
+
+
+@ROUND_LAWS
+def test_one_send_per_round_matches_a_send_per_sender_and_enqueues(delay, loss):
+    # One call stages the whole round; a call per sender and a call per
+    # message must give the same counters, deliveries and trace.
     nodes = range(6)
     adjacency = {u: tuple(v for v in nodes if v != u) for u in nodes}
-
-    def fabric():
-        logger = RunLogger([NET_SEND, NET_DROP, NET_DELIVER], 0)
-        return logger, Network(adjacency, DelayDistribution.poisson(2.5), 0.1,
-                               StreamFactory(8, 0), logger=logger)
-
-    def counters(net):
-        return (net.in_flight, net.total_sent, net.total_dropped,
-                net.total_delivered)
-
-    (log_a, batched), (log_b, single) = fabric(), fabric()
+    fabrics = [logged_fabric(adjacency, delay, loss) for _ in range(3)]
+    (_, per_round), (_, per_sender), (_, per_message) = fabrics
     rnd = random.Random(6)
     payload_id = 0
     for round_ in range(40):
-        for log in (log_a, log_b):
-            log.round = round_
-        assert batched.collect_deliverable(round_) == \
-            single.collect_deliverable(round_)
+        for logger, _ in fabrics:
+            logger.round = round_
+        arrivals = [net.collect_deliverable(round_) for _, net in fabrics]
+        assert rows(arrivals[0]) == rows(arrivals[1]) == rows(arrivals[2])
+        outboxes = []
         for sender in nodes:
             out = []
             for _ in range(rnd.choice((0, 1, 5, 12))):
-                out.append((rnd.choice(adjacency[sender]), payload_id))
+                dest = rnd.choice(adjacency[sender] + (None,))
+                out.append((dest, payload_id))
                 payload_id += 1
             if out:
-                batched.send(sender, out, round_)
+                outboxes.append((sender, out))
+        last = per_round.send(outboxes, round_)
+        for sender, out in outboxes:
+            per_sender.send([(sender, out)], round_)
             for dest, payload in out:
-                single.enqueue(sender, dest, payload, round_)
-        assert counters(batched) == counters(single)
-    assert batched.total_dropped > 0 and batched.total_delivered > 0
+                packet = per_message.enqueue(sender, dest, payload, round_)
+        if outboxes:  # the last packet built, or None if it was lost
+            assert last == packet
+        assert counters(per_round) == counters(per_sender) == \
+            counters(per_message)
+    assert per_round.total_delivered > 0
+    assert (per_round.total_dropped > 0) == (loss > 0)
     for tag in (NET_SEND, NET_DROP, NET_DELIVER):
-        assert log_a.document.records(tag) == log_b.document.records(tag)
-        assert log_a.document.records(tag)
+        want = fabrics[0][0].document.records(tag)
+        assert all(logger.document.records(tag) == want
+                   for logger, _ in fabrics[1:])
+        assert want or (tag == NET_DROP and not loss)
+
+
+@ROUND_LAWS
+def test_an_unknown_edge_mid_round_stops_the_later_senders(delay, loss):
+    # A ring: node 2 has no channel to 5. Senders 0 and 1 and node 2's
+    # first message are staged and counted; node 2's later message and
+    # senders 3 and 4 stage nothing.
+    adjacency = {u: ((u - 1) % 6, (u + 1) % 6) for u in range(6)}
+    logger, net = logged_fabric(adjacency, delay, loss)
+    reference_logger, reference = logged_fabric(adjacency, delay, loss)
+    outboxes = [(0, [(1, "a"), (None, "b")]), (1, [(None, "c")]),
+                (2, [(3, "d"), (5, "e"), (1, "f")]), (3, [(None, "g")]),
+                (4, [(5, "h")])]
+    with pytest.raises(ConfigError, match="topology: no channel 2->5"):
+        net.send(outboxes, 0)
+    reference.send(outboxes[:2] + [(2, [(3, "d")])], 0)
+    assert counters(net) == counters(reference)
+    assert net.total_sent + net.total_dropped == 6
+    assert sorted(net.channels) == sorted(reference.channels)
+    assert all(sender < 3 for sender, _ in net.channels)
+    for round_ in range(1, 40):
+        assert rows(net.collect_deliverable(round_)) == \
+            rows(reference.collect_deliverable(round_))
+    assert net.in_flight == 0
+    for tag in (NET_SEND, NET_DROP, NET_DELIVER):
+        assert logger.document.records(tag) == \
+            reference_logger.document.records(tag)
 
 
 def test_fixed_delay_branch_equals_make_packet():
@@ -389,7 +438,7 @@ def test_fixed_law_entry_is_one_packet_filed_under_each_receiver():
     adjacency = {0: (3, 1, 2), 1: (0,), 2: (0,), 3: (0,)}
     net = make_network(adjacency, DelayDistribution.deterministic(2))
     payload = {"v": 1}
-    packet = net.send(0, [(None, payload)], 5)
+    packet = net.send([(0, [(None, payload)])], 5)
     assert packet.payload is payload
     assert (packet.source, packet.send_round, packet.delay,
             packet.delivery_round) == (0, 5, 2, 7)
@@ -400,7 +449,7 @@ def test_fixed_law_entry_is_one_packet_filed_under_each_receiver():
 
     # A mixed out-buffer keeps staging order at every receiver; each entry
     # is one packet wherever it is filed.
-    net.send(0, [(None, "a"), (1, "b"), (None, "c")], 8)
+    net.send([(0, [(None, "a"), (1, "b"), (None, "c")])], 8)
     by_dest = net.collect_deliverable(10)
     assert {dest: [p.payload for p in packets]
             for dest, packets in by_dest.items()} == {
@@ -489,7 +538,7 @@ def test_fixed_law_fabric_stamps_without_streams():
     logger = RunLogger([NET_SEND], 3)
     net = Network({0: (1,), 1: (0,)}, DelayDistribution.deterministic(1), 0.0,
                   None, logger=logger)
-    net.send(0, ((1, "m"), (1, "n")), 4)
+    net.send(((0, ((1, "m"), (1, "n"))),), 4)
     assert [(r.computation, r.round, r.payload["deliveryRound"])
             for r in logger.document.records(NET_SEND)] == [(3, 4, 5)] * 2
 
@@ -581,7 +630,7 @@ def test_a_channel_opened_late_draws_what_an_early_one_draws():
     for round_ in range(20):
         for sender in WIDE_IDS:
             if sender != u:
-                late.send(sender, [(None, round_)], round_)
+                late.send([(sender, [(None, round_)])], round_)
     assert (u, v) not in late.channels and len(late.channels) > 1
     assert first_words(late.channel(u, v).rng) == words
 

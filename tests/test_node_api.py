@@ -27,7 +27,7 @@ def fabric_messages(ctx, delay):
     logger = RunLogger([NET_SEND])
     adjacency = {ctx.id: ctx.neighbors, **{v: () for v in ctx.neighbors}}
     net = Network(adjacency, delay, 0.0, StreamFactory(1, 0), logger=logger)
-    net.send(ctx.id, ctx.out_buffer, 0)
+    net.send([(ctx.id, ctx.out_buffer)], 0)
     arrivals = {dest: iter(packets)
                 for dest, packets in net.collect_deliverable(1).items()}
     messages = [(rec.destination, next(arrivals[rec.destination]).payload)
@@ -92,7 +92,7 @@ def test_complete_topology_unicast_stages_the_int_id(delay):
     ctx.unicast(3.0, "b")
     assert ctx.out_buffer == [(3, "a"), (3, "b")]
     assert [type(dest) for dest, _ in ctx.out_buffer] == [int, int]
-    net.send(1, ctx.out_buffer, 0)
+    net.send([(1, ctx.out_buffer)], 0)
     assert [p.payload for p in net.collect_deliverable(1)[3]] == ["a", "b"]
 
 
