@@ -60,15 +60,15 @@ class Block:
     """One mined block; shared by reference once broadcast, never mutated.
 
     length is the block's chain length: the number of its ancestors,
-    itself included and genesis excluded. Genesis has length 0.
+    itself included and genesis excluded. Genesis has length 0. A block
+    holds only what a peer reads: the `block` record takes its miner and
+    round from the mining peer and its context.
     """
 
-    __slots__ = ("id", "miner", "round", "parents", "tx", "length")
+    __slots__ = ("id", "parents", "tx", "length")
 
-    def __init__(self, block_id, miner, round_, parents, tx, length):
+    def __init__(self, block_id, parents, tx, length):
         self.id = block_id
-        self.miner = miner
-        self.round = round_
         self.parents = parents
         self.tx = tx
         self.length = length
@@ -78,7 +78,7 @@ class Block:
 
 
 def make_genesis() -> Block:
-    return Block(GENESIS_ID, -1, -1, (), None, 0)
+    return Block(GENESIS_ID, (), None, 0)
 
 
 class BlockchainPeer(AlgorithmNode):
@@ -142,7 +142,7 @@ class BlockchainPeer(AlgorithmNode):
             block = self._mine(tx, ctx.round)
             self._adopt(block)
             ctx.log(TAG_BLOCK, {"id": block.id, "miner": self.id,
-                                "round": block.round,
+                                "round": ctx.round,
                                 "parents": sorted(block.parents),
                                 "tx": block.tx})
             ctx.broadcast(("block", block))
@@ -157,7 +157,7 @@ class BlockchainPeer(AlgorithmNode):
             parents = tuple(sorted(self.childless))
             length = len(self.known)
         block_id = round_ * self.n + self.id
-        return Block(block_id, self.id, round_, parents, tx, length)
+        return Block(block_id, parents, tx, length)
 
     def _accept_block(self, block):
         """Adopt block, and every waiting block it completes, once all its

@@ -34,11 +34,13 @@ the sender's neighbour tuple from the adjacency it was built with.
 
 Membership is held as `{neighbour id: the same id}` maps, which the engine
 hands to each node's `NodeContext`, so the fabric and the node share them.
-On a complete topology, whose adjacency the config parser built as a
-`CompleteAdjacency`, all nodes share one map of every id, so membership
-costs n entries, not n^2; a send to oneself, which that map would admit,
-is refused by comparing ids. Any other adjacency, an explicit one that
-lists every other node included, has one map per node.
+One edge rule holds on every topology: u may send to v when v is in u's
+map and, if v is u, u's adjacency row lists u. The row is read only for
+a send to oneself, so a map may hold its own node's id without meaning a
+self-loop. That lets the nodes of a complete topology, whose adjacency
+the config parser built as a `CompleteAdjacency`, share one map of every
+id, so membership costs n entries, not n^2. Any other adjacency, an
+explicit one that lists every other node included, has one map per node.
 
 The per-message trace (`net.send`, `net.drop`, `net.deliver`) goes straight
 into the run log: the fabric takes each enabled tag's record list from the
@@ -232,12 +234,10 @@ class Network:
         self._adjacency = adjacency
         # node -> {neighbour id: the same id}, shared with the node's
         # context. On a complete topology every node has the one map of
-        # all ids, self._everyone, which holds the node's own id too.
+        # all ids, its own among them.
         if type(adjacency) is CompleteAdjacency:
-            self._everyone = {u: u for u in adjacency}
-            self.neighbor_ids = dict.fromkeys(adjacency, self._everyone)
+            self.neighbor_ids = dict.fromkeys(adjacency, {u: u for u in adjacency})
         else:
-            self._everyone = None
             self.neighbor_ids = {u: {v: v for v in vs}
                                  for u, vs in adjacency.items()}
         self._fixed = not _draws(delay, loss_probability)
@@ -246,7 +246,8 @@ class Network:
         self._keys = None  # ChannelKeys, made as the first channel opens
         self._open = partial(Channel, delay=delay, loss_probability=loss_probability,
                              fifo=fifo)
-        self._buckets = defaultdict(dict)  # delivery round -> {receiver -> [Packet]}
+        # delivery round -> {receiver -> [Packet]}
+        self._buckets = defaultdict(partial(defaultdict, list))
         # Fabric tags are resolved once here, never per message: each is
         # that tag's record list, or None when the tag is off.
         self._send_log, self._drop_log, self._deliver_log = (
@@ -268,8 +269,8 @@ class Network:
         channel = self.channels.get((sender, receiver))
         if channel is None:
             neighbors = self.neighbor_ids.get(sender, ())
-            if receiver not in neighbors or (receiver == sender
-                                             and neighbors is self._everyone):
+            if receiver not in neighbors or (
+                    receiver == sender and sender not in self._adjacency[sender]):
                 raise _no_channel(sender, receiver)
             if self._keys is None:
                 from .seedmix import ChannelKeys  # loads numpy
@@ -291,11 +292,13 @@ class Network:
         under each of its receivers; a broadcast from a sender without
         neighbours builds none. On a drawing law each message is built by
         its channel's `Channel.make_packet`; a broadcast walks the
-        sender's channels, all opened on its first broadcast. An unknown
-        edge raises mid-buffer: the messages staged before it stay
-        counted, and later senders stage nothing. The topology's shape
-        was resolved when the network was built, and the call resolves
-        the law's state once, so each sender costs one map lookup.
+        sender's channels, all opened on its first broadcast. A unicast
+        follows the edge rule (see the module docstring), on a fixed law
+        here and on a drawing law as its channel opens. An unknown edge
+        raises mid-buffer: the messages staged before it stay counted,
+        and later senders stage nothing. The call resolves the law's
+        state once, so each sender costs one map lookup, and each
+        receiver's packet is filed with one append.
         """
         buckets, send_log = self._buckets, self._send_log
         computation, adjacency = self._computation, self._adjacency
@@ -303,8 +306,7 @@ class Network:
         sent = dropped = 0
         try:
             if self._fixed:
-                neighbor_ids, everyone = self.neighbor_ids, self._everyone
-                value = self._value
+                neighbor_ids, value = self.neighbor_ids, self._value
                 delivery = send_round + value
                 by_dest = buckets[delivery]
                 for sender, out in outboxes:
@@ -313,7 +315,7 @@ class Network:
                         if receiver is not None:
                             if receiver not in neighbors or (
                                     receiver == sender
-                                    and neighbors is everyone):
+                                    and sender not in adjacency[sender]):
                                 raise _no_channel(sender, receiver)
                             dests = (receiver,)
                         else:
@@ -323,11 +325,7 @@ class Network:
                         packet = _new_tuple(Packet, (sender, send_round, value,
                                                      delivery, payload))
                         for dest in dests:
-                            packets = by_dest.get(dest)
-                            if packets is None:
-                                by_dest[dest] = [packet]
-                            else:
-                                packets.append(packet)
+                            by_dest[dest].append(packet)
                             if send_log is not None:
                                 send_log.append(_new_tuple(SendRecord, (
                                     computation, delivery, sender, dest,
@@ -358,12 +356,7 @@ class Network:
                                     send_round)))
                             continue
                         dest, delivery = channel.receiver, packet[3]
-                        by_dest = buckets[delivery]
-                        packets = by_dest.get(dest)
-                        if packets is None:
-                            by_dest[dest] = [packet]
-                        else:
-                            packets.append(packet)
+                        buckets[delivery][dest].append(packet)
                         sent += 1
                         if send_log is not None:
                             send_log.append(_new_tuple(SendRecord, (
@@ -386,8 +379,12 @@ class Network:
         Receivers come in the order their first packet for this round was
         staged. Within a receiver, packets are ordered by (sender id,
         channel staging order): lists fill in staging order and the sort
-        is stable. A fixed law needs the sort too, since senders may be
-        staged in any order. Must be called once per round, in round order.
+        is stable. On a fixed law every packet due in a round was staged
+        by one `send` call, whose senders ascend, so its lists arrive
+        sorted; the sort stays for drawing laws, whose packets due in one
+        round were staged in several rounds, and for callers that stage
+        senders out of order. Must be called once per round, in round
+        order.
         """
         by_dest = self._buckets.pop(round_, None)
         if not by_dest:

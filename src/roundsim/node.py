@@ -19,23 +19,19 @@ from .rng import Stream
 
 class NodeContext:
     __slots__ = ("id", "neighbors", "in_stream", "out_buffer", "round",
-                 "_neighbor_ids", "_own", "_logger", "_rng", "_streams")
+                 "_neighbor_ids", "_logger", "_rng", "_streams")
 
     def __init__(self, node_id: int, neighbors: tuple, streams, logger,
                  neighbor_ids=None):
         self.id = node_id
         self.neighbors = tuple(neighbors)
         # {neighbour id: the same id}; the engine passes the fabric's map
-        # for this node, so the two share it. On a complete topology that
-        # is the one map of all ids, shared by every node: it holds more
-        # ids than the node has neighbours, its own among them, and _own
-        # is the map's entry for that id, which unicast refuses. A map of
-        # the node's neighbours alone holds its id only for a self-loop.
+        # for this node, so the two share it. The map may hold the node's
+        # own id without a self-loop (a complete topology's nodes share
+        # one map of all ids), so unicast follows the fabric's edge rule.
         if neighbor_ids is None:
             neighbor_ids = {nid: nid for nid in self.neighbors}
         self._neighbor_ids = neighbor_ids
-        self._own = (neighbor_ids.get(node_id)
-                     if len(neighbor_ids) > len(self.neighbors) else None)
         self.in_stream = ()
         self.out_buffer = []
         self.round = 0
@@ -66,9 +62,11 @@ class NodeContext:
     def unicast(self, dest: int, payload) -> None:
         """Stage payload for one neighbor. The neighbor's own int id is
         staged, so a destination that only equals it (a numpy integer,
-        say) reaches the fabric and its trace as that int."""
+        say) reaches the fabric and its trace as that int. A node reaches
+        itself only through a self-loop, its own id in `neighbors`; the
+        tuple is scanned only for a unicast to oneself."""
         nid = self._neighbor_ids.get(dest)
-        if nid is None or nid is self._own:
+        if nid is None or (nid == self.id and nid not in self.neighbors):
             raise SimulationError(
                 f"node {self.id} has no channel to {dest}; neighbors are "
                 f"{sorted(self.neighbors)}")

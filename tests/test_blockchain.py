@@ -40,7 +40,7 @@ def ancestors(known, parents):
 
 
 def block(peer, block_id, parents, tx=0):
-    return Block(block_id, 0, block_id // peer.n, tuple(parents), tx,
+    return Block(block_id, tuple(parents), tx,
                  len(ancestors(peer.known, parents)) + 1)
 
 

@@ -4,13 +4,14 @@ run with every fabric trace tag, a run whose `net.send` mixes record
 kinds in some computations only, and of the JSON metric table of every
 bundled sweep.
 
-Any change that alters log bytes fails here. A deliberate change
-regenerates the digests and says why:
+Any change that alters log bytes fails here. A failing run case names
+the tags whose rendered array differs, and their record counts, from
+the per-tag digests in `golden_tag_digests.json` (see `logcheck`). A
+deliberate change regenerates both files and says why:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from roundsim.engine import run
 from roundsim.runlog import NET_TAGS, serialize
 from roundsim.sweep import load_sweep_file, run_sweep
 
+from logcheck import TAG_DIGESTS, sha256, tag_differences, tag_digests
 from test_engine import tick_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,26 +105,23 @@ def sweep_cases():
             for path in sorted((ROOT / "configs" / "sweeps").glob("*.json"))}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def digest(config) -> str:
-    return _sha256(serialize(run(config)))
-
-
 def sweep_digest(path) -> str:
-    return _sha256(run_sweep(load_sweep_file(path)).to_json())
+    return sha256(run_sweep(load_sweep_file(path)).to_json())
 
 
 def golden():
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
+def golden_tags():
+    return json.loads(TAG_DIGESTS.read_text(encoding="utf-8"))
+
+
 def test_golden_cases_cover_every_bundled_config():
     assert len(cases()) == 13
     assert len(sweep_cases()) == 4
     assert set(cases()) | set(sweep_cases()) == set(golden())
+    assert set(cases()) == set(golden_tags())
 
 
 def _record_ids(doc):
@@ -132,7 +131,11 @@ def _record_ids(doc):
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_log_bytes_match_golden_digest(name):
     doc = run(cases()[name])
-    assert _sha256(serialize(doc)) == golden()[name]
+    text = serialize(doc)
+    tags = tag_digests(text)
+    assert sha256(text) == golden()[name] and tags == golden_tags()[name], (
+        f"{name}: " + "; ".join(tag_differences(tags, golden_tags()[name])
+                                or ["every part matches; their order differs"]))
     # The engine hands back its document in canonical order already: a
     # stable sort moves no record, not even one that ties with another.
     ids = _record_ids(doc)
@@ -146,12 +149,15 @@ def test_sweep_table_matches_golden_digest(name):
 
 
 def write():
-    digests = {name: digest(config) for name, config in cases().items()}
+    texts = {name: serialize(run(config)) for name, config in cases().items()}
+    digests = {name: sha256(text) for name, text in texts.items()}
     digests.update((name, sweep_digest(path))
                    for name, path in sweep_cases().items())
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+    tags = {name: tag_digests(text) for name, text in texts.items()}
+    for path, value in ((DIGESTS, digests), (TAG_DIGESTS, tags)):
+        path.write_text(json.dumps(value, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {len(value)} cases to {path}")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from roundsim.config import load_file
 from roundsim.engine import run
-from roundsim.errors import ConfigError
+from roundsim.errors import ConfigError, SimulationError
 from roundsim.network import (Channel, CompleteAdjacency, DelayDistribution,
                               Network, Packet, sample_delay)
+from roundsim.node import NodeContext
 from roundsim.rng import CHANNEL, Stream, StreamFactory, make_stream
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
 from roundsim.seedmix import ChannelKeys
@@ -684,3 +687,115 @@ def test_opening_every_channel_scans_each_row_at_most_once():
             assert (keys.channel(u, v).state["state"]["key"].tolist()
                     == make_stream(1, 0, CHANNEL, u, v).state["state"]["key"].tolist())
     assert {row.scans for row in complete.values()} == {0}
+
+
+# One edge rule: u reaches v when v is in u's map and, if v is u, u's row
+# lists u. ------------------------------------------------------------------
+
+NOT_A_NODE = 64  # above every id the strategy draws
+
+
+@st.composite
+def edge_rule_topologies(draw):
+    """A complete topology of 1-8 nodes, a ring of 2-8 as the config
+    parser builds it, or an explicit adjacency over sparse ids whose rows
+    may list their own node. Every row counts its scans."""
+    kind = draw(st.sampled_from(["complete", "ring", "explicit"]))
+    if kind == "complete":
+        adjacency = CompleteAdjacency(draw(st.integers(1, 8)))
+    elif kind == "ring":
+        n = draw(st.integers(2, 8))
+        adjacency = {u: tuple(sorted({(u - 1) % n, (u + 1) % n}))
+                     for u in range(n)}
+    else:
+        ids = draw(st.lists(st.integers(0, NOT_A_NODE - 1), min_size=1,
+                            max_size=6, unique=True))
+        adjacency = {u: tuple(draw(st.lists(st.sampled_from(ids), unique=True)))
+                     for u in ids}
+    for u in adjacency:
+        adjacency[u] = ScannedRow(adjacency[u])
+    return adjacency
+
+
+def admits(stage, sender, receiver) -> bool:
+    """Whether stage runs; it may only refuse the edge sender->receiver."""
+    try:
+        stage()
+    except ConfigError as err:
+        assert str(err) == f"topology: no channel {sender}->{receiver}"
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_rule_topologies())
+def test_unicast_send_and_channel_follow_one_edge_rule(adjacency):
+    fixed, drawing = (Network(adjacency, delay, 0.0, StreamFactory(1, 0))
+                      for delay in (DelayDistribution.deterministic(1),
+                                    DelayDistribution.uniform(1, 2)))
+    for u, row in adjacency.items():
+        ctx = NodeContext(u, row, None, RunLogger(), fixed.neighbor_ids[u])
+        ctx.neighbors = row  # the context's own copy would not count scans
+        listed = sorted(tuple.__iter__(row))
+        for v in [*adjacency, NOT_A_NODE]:
+            edge = tuple.__contains__(row, v)
+            for dest in (v, np.int64(v), float(v)):
+                scans = row.scans
+                if edge:
+                    ctx.unicast(dest, "m")
+                    staged = ctx.out_buffer.pop()
+                    assert staged == (v, "m") and type(staged[0]) is int
+                else:
+                    with pytest.raises(SimulationError) as err:
+                        ctx.unicast(dest, "m")
+                    assert str(err.value) == (f"node {u} has no channel to "
+                                              f"{dest}; neighbors are {listed}")
+                    assert ctx.out_buffer == []
+                message = [(u, [(dest, "m")])]
+                assert admits(partial(fixed.send, message, 0), u, dest) == edge
+                if v != u:
+                    # Only a send to oneself reads the row to test its edge;
+                    # a refused unicast lists the row in its message.
+                    assert row.scans == scans + (not edge)
+                assert [admits(stage, u, dest) for stage in (
+                    partial(drawing.send, message, 0),
+                    partial(fixed.channel, u, dest),
+                    partial(drawing.channel, u, dest))] == [edge] * 3
+
+
+# Delivery order as staged ---------------------------------------------------
+
+def staged_buckets(monkeypatch, config):
+    """Every receiver's packet list of one run of config, as it reaches
+    `collect_deliverable`, before that sorts it."""
+    collect, buckets = Network.collect_deliverable, []
+
+    def spy(self, round_):
+        buckets.extend(list(packets)
+                       for packets in self._buckets.get(round_, {}).values())
+        return collect(self, round_)
+
+    monkeypatch.setattr(Network, "collect_deliverable", spy)
+    run(config)
+    return buckets
+
+
+def in_source_order(packets):
+    return all(a.source <= b.source for a, b in zip(packets, packets[1:]))
+
+
+@pytest.mark.parametrize("name", ["pbft", "raft", "chord", "bench/dht-500"])
+def test_fixed_law_buckets_are_staged_in_source_order(monkeypatch, name):
+    # One send per round, senders ascending, and one delay: each bucket
+    # fills in source order, so delivery's sort moves nothing.
+    config = load_file(CONFIGS / f"{name}.json")
+    assert config.delay.kind == "deterministic" and config.loss_probability == 0
+    buckets = staged_buckets(monkeypatch, config)
+    assert any(len(packets) > 1 for packets in buckets)
+    assert all(map(in_source_order, buckets))
+
+
+def test_drawing_law_buckets_need_the_sort(monkeypatch):
+    # Packets due in one round were staged in several rounds.
+    buckets = staged_buckets(monkeypatch, load_file(CONFIGS / "bitcoin-lossy.json"))
+    assert not all(map(in_source_order, buckets))
