@@ -15,9 +15,8 @@ channels, the sum of its row lengths, are held to MAX_CHANNELS.
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
 from .network import (DETERMINISTIC, POISSON, UNIFORM, CompleteAdjacency,
@@ -63,8 +62,7 @@ _DELAY_KEYS = {DETERMINISTIC: {"kind", "value"}, UNIFORM: {"kind", "min", "max"}
                POISSON: {"kind", "mean"}}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     algorithm: str
     # node id -> ordered tuple of neighbor ids; a CompleteAdjacency when
     # the topology is {"kind": "complete", ...}
@@ -74,9 +72,9 @@ class RunConfig:
     rounds_per_computation: int
     computations_per_run: int
     seed: int
-    worker_count: int = 1
-    algorithm_params: dict = field(default_factory=dict)
-    log_tags: Optional[tuple] = None   # None enables all algorithm tags
+    worker_count: int
+    algorithm_params: dict
+    log_tags: Optional[tuple]   # None enables all algorithm tags
 
     @property
     def node_ids(self) -> tuple:
@@ -94,7 +92,7 @@ class RunConfig:
         """A copy with some fields replaced, made by parse_obj from the
         copy's JSON form, so it is checked and normalized as a loaded
         config is; an invalid field raises ConfigError."""
-        return parse_obj(replace(self, **kwargs).to_json_obj())
+        return parse_obj(self._replace(**kwargs).to_json_obj())
 
     def to_json_obj(self) -> dict:
         adjacency = self.adjacency

@@ -53,7 +53,6 @@ tuples through their templates.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from math import exp
 from operator import itemgetter
@@ -68,8 +67,7 @@ UNIFORM = "uniform"
 POISSON = "poisson"
 
 
-@dataclass(frozen=True)
-class DelayDistribution:
+class DelayDistribution(NamedTuple):
     """Per-message delay law; every sample is an integer number of rounds >= 1.
 
     Poisson is shifted by one (1 + Poisson(mean - 1)) so the one-round

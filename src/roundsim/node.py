@@ -78,8 +78,12 @@ class NodeContext:
 
     def log_record(self, kind, *values) -> None:
         """Append a typed record of `kind` (see `roundsim.runlog`) under
-        `kind.TAG`: `values` are its payload fields in its template's
-        order; the logger adds the stamp."""
+        `kind.TAG`: `values` are its `kind.VALUES` payload fields in its
+        template's order, or it is a fault; the logger adds the stamp."""
+        if len(values) != kind.VALUES:
+            raise SimulationError(f"node {self.id} cannot log {kind.__name__}: " + (
+                "it has no node field" if kind.VALUES is None
+                else f"it takes {kind.VALUES} values, not {len(values)}"))
         self._logger.append_record(kind, self.id, values)
 
 

@@ -24,9 +24,9 @@ Only int fields may be typed: `%d` writes `True` and `1.0` as `1`, where
 `json.dumps` writes `true` and `1.0`. The fabric's `SendRecord`,
 `DeliverRecord` and `DropRecord` (node always None) are built only by
 `Network`. A protocol declares its own types and logs one with
-`NodeContext.log_record`, which hands the payload values to
-`RunLogger.append_record`; the logger adds the stamp, so a node never
-writes its own.
+`NodeContext.log_record`, which checks how many payload values it got
+and hands them to `RunLogger.append_record`; the logger adds the stamp,
+so a node never writes its own.
 
 `serialize` writes the document in one pass by one of two rules per tag.
 A tag of one typed kind is rendered through that type's template with
@@ -93,10 +93,11 @@ def typed_record(tag: str, names: Optional[dict] = None,
     in the sorted order of their JSON keys, then `round`. `names` maps a
     field to its JSON key where the two differ; `constants` are payload
     entries every record of the type holds. The decorator sets `TAG`,
-    `TEMPLATE` and the record contract `LogRecord` keeps too (`KEY`, the
-    `payload` property, `to_json_obj`) and, without a node field,
-    `node = None`; it raises `TypeError` for fields out of that order or a
-    constant whose key is also a field's."""
+    `TEMPLATE`, `VALUES` (how many payload values a node logs; None, and
+    `node = None`, without a node field) and the record contract
+    `LogRecord` keeps too (`KEY`, the `payload` property, `to_json_obj`);
+    it raises `TypeError` for fields out of that order or a constant whose
+    key is also a field's."""
     names = names or {}
     constants = dict(constants or {})
 
@@ -123,6 +124,7 @@ def typed_record(tag: str, names: Optional[dict] = None,
         cls.TEMPLATE = ('{"computation":%d,"node":' + ("%d" if lo == 2 else "null")
                         + ',"payload":{' + body + '},"round":%d}')
         cls.KEY = itemgetter(0, -1, 1) if lo == 2 else itemgetter(0, -1)
+        cls.VALUES = len(keys) if lo == 2 else None
         if lo == 1:
             cls.node = None
 

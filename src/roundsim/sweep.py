@@ -10,9 +10,8 @@ import copy
 import csv
 import io
 import time
-from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import config as config_mod
 from .algorithms.base import BUNDLED
@@ -38,18 +37,16 @@ METRICS = {
 _SWEEP_KEYS = {"base", "axis", "points", "variants", "metric", "metricParams"}
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     base: dict              # raw config document, before axis substitution
     axis: str
     points: tuple
     variants: tuple
     metric: str
-    metric_params: dict = field(default_factory=dict)
+    metric_params: dict
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     axis_value: object
     variant: str
     value: float
@@ -64,8 +61,7 @@ class Row:
         return obj
 
 
-@dataclass(frozen=True)
-class MetricTable:
+class MetricTable(NamedTuple):
     header: dict
     rows: tuple
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -231,7 +230,7 @@ def test_a_complete_topology_stays_a_shape_through_copies():
     assert config.to_json_obj()["topology"] == shorthand
     copy = config.with_(worker_count=2)
     assert type(copy.adjacency) is CompleteAdjacency
-    assert copy == replace(config, worker_count=2)
+    assert copy == config._replace(worker_count=2)
     assert run(config).meta["topology"] == shorthand
     # The same rows given explicitly are held and written back as rows.
     rows = {str(u): [v for v in range(6) if v != u] for u in range(6)}

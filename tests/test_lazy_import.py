@@ -81,6 +81,25 @@ print(json.dumps(steps))
     assert set(steps[4][1]) - set(steps[3][1]) == {"algorithms.dht"}
 
 
+def test_set_up_imports_no_dataclasses_or_inspect():
+    # No step loads numpy, which imports inspect itself.
+    added = run_fresh("""
+import glob, json, os
+before = set(sys.modules)
+from roundsim import cli, config, sweep
+for path in sorted(glob.glob("configs/*.json") + glob.glob("configs/bench/*.json")):
+    config.load_file(path)
+for path in sorted(glob.glob("configs/sweeps/*.json")):
+    sweep.load_sweep_file(path)
+cli.build_parser()
+statuses = [cli.main(["run", path, "--out", os.devnull])
+            for path in ("configs/pbft.json", "configs/raft.json")]
+print(json.dumps([statuses, sorted({"dataclasses", "inspect"}
+                                   & (set(sys.modules) - before))]))
+""")
+    assert added == [[0, 0], []]
+
+
 def test_a_consensus_sweep_loads_only_consensus():
     modules = run_fresh("""
 import json, os

@@ -511,6 +511,59 @@ def test_typed_records_are_logged_with_the_loggers_stamp():
     assert off.document.records(TAG_FORWARDED) == []
 
 
+# Node 2 logs one typed record in round 1, with the values its call names.
+_LOG_CALLS = {"right": (ForwardRecord, (9, 5)), "short": (ForwardRecord, (9,)),
+              "over": (ForwardRecord, (9, 5, 6)),
+              "fabric": (SendRecord, (3, 0, 1))}
+
+
+@register
+class _RecordCallFamily(Algorithm):
+    variants = ("record-call",)
+    param_defaults = {"call": "right"}
+
+    def create_node(self, node_id):
+        return _RecordCaller(*_LOG_CALLS[self.params["call"]])
+
+
+class _RecordCaller(AlgorithmNode):
+    def __init__(self, kind, values):
+        self.kind = kind
+        self.values = values
+
+    def perform_computation(self, ctx):
+        if (ctx.id, ctx.round) == (2, 1):
+            ctx.log_record(self.kind, *self.values)
+
+
+def record_call_run(call):
+    kind = _LOG_CALLS[call][0]
+    return kind, run(parse_obj({
+        "algorithm": "record-call", "algorithmParams": {"call": call},
+        "topology": {"kind": "ring", "nodes": 4}, "roundsPerComputation": 3,
+        "seed": 1, "logTags": [kind.TAG]}))
+
+
+@pytest.mark.parametrize("call, message", [
+    ("short", "node 2 cannot log ForwardRecord: it takes 2 values, not 1"),
+    ("over", "node 2 cannot log ForwardRecord: it takes 2 values, not 3"),
+    ("fabric", "node 2 cannot log SendRecord: it has no node field"),
+])
+def test_a_typed_record_with_the_wrong_values_is_a_node_fault(call, message):
+    kind, doc = record_call_run(call)
+    assert doc.records(ERROR_TAG) == [LogRecord(0, 1, 2, {
+        "node": 2, "type": "SimulationError", "message": message})]
+    assert doc.records(kind.TAG) == []
+    assert_same_log(serialize(doc), reference_serialize(doc))
+
+
+def test_a_typed_record_with_the_right_values_is_logged():
+    _, doc = record_call_run("right")
+    assert doc.records(ERROR_TAG) == []
+    assert doc.records(TAG_FORWARDED) == [ForwardRecord(0, 2, 9, 5, 1)]
+    assert_same_log(serialize(doc), reference_serialize(doc))
+
+
 # Every node logs a typed forward each round; node 1 also logs a dict under
 # the same tag, and the family an engine record after each round.
 @register
