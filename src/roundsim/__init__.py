@@ -21,7 +21,7 @@ _EXPORTS = {
     "ConfigError": "errors", "MetricError": "errors",
     "RoundsimError": "errors", "SimulationError": "errors",
     "UnknownAlgorithmError": "errors",
-    "DelayDistribution": "network",
+    "DelayDistribution": "config",
     "LogDocument": "runlog", "serialize": "runlog",
     "MetricTable": "sweep", "Sweep": "sweep", "benchmark_threads": "sweep",
     "load_sweep": "sweep", "load_sweep_file": "sweep", "run_sweep": "sweep",

@@ -6,9 +6,8 @@ initial broadcast to the round the quorum closes at the leader). A new
 instance starts the round after the previous one commits.
 """
 
-from ..config import as_int
+from ..config import CompleteAdjacency, as_int
 from ..errors import ConfigError, MetricError
-from ..network import CompleteAdjacency
 from ..node import AlgorithmNode
 from .base import Algorithm, register
 

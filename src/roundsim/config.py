@@ -1,5 +1,10 @@
 """Experiment configuration: JSON schema, validation, topology expansion.
 
+The parser declares the values it builds, the delay law
+(`DelayDistribution`, the law names) and `CompleteAdjacency`, and at
+load imports nothing of roundsim but `errors`, so a config check loads
+no fabric and no log.
+
 Loading is a pure function of the document text. The parser is the one
 place that decides a topology's shape. `{"kind": "complete", "nodes": n}`
 becomes a `CompleteAdjacency`, whose rows are slices of one tuple of int
@@ -19,10 +24,12 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, UnknownAlgorithmError
-from .network import (DETERMINISTIC, POISSON, UNIFORM, CompleteAdjacency,
-                      DelayDistribution)
 
 DEFAULT_SEED = 0xC0FFEE
+
+DETERMINISTIC = "deterministic"
+UNIFORM = "uniform"
+POISSON = "poisson"
 
 # Largest accepted poisson delay mean, in rounds. It is far beyond any run
 # length, and well below the largest rate `rng.Stream.poisson` takes (the
@@ -60,6 +67,60 @@ _TOPOLOGY_KEYS = {"adjacency": {"adjacency", "kind"},
                   "complete": {"kind", "nodes"}, "ring": {"kind", "nodes"}}
 _DELAY_KEYS = {DETERMINISTIC: {"kind", "value"}, UNIFORM: {"kind", "min", "max"},
                POISSON: {"kind", "mean"}}
+
+
+class DelayDistribution(NamedTuple):
+    """Per-message delay law; every sample is an integer number of rounds >= 1.
+
+    Poisson is shifted by one (1 + Poisson(mean - 1)) so the one-round
+    minimum holds while the configured mean is preserved.
+    """
+
+    kind: str
+    value: int = 0        # deterministic
+    min: int = 0          # uniform, inclusive
+    max: int = 0          # uniform, inclusive
+    mean: float = 0.0     # poisson
+
+    @staticmethod
+    def deterministic(value: int) -> "DelayDistribution":
+        return DelayDistribution(DETERMINISTIC, value=value)
+
+    @staticmethod
+    def uniform(lo: int, hi: int) -> "DelayDistribution":
+        return DelayDistribution(UNIFORM, min=lo, max=hi)
+
+    @staticmethod
+    def poisson(mean: float) -> "DelayDistribution":
+        return DelayDistribution(POISSON, mean=mean)
+
+    def expected(self) -> float:
+        if self.kind == DETERMINISTIC:
+            return float(self.value)
+        if self.kind == UNIFORM:
+            return (self.min + self.max) / 2.0
+        return self.mean
+
+    def to_json(self) -> dict:
+        if self.kind == DETERMINISTIC:
+            return {"kind": DETERMINISTIC, "value": self.value}
+        if self.kind == UNIFORM:
+            return {"kind": UNIFORM, "min": self.min, "max": self.max}
+        return {"kind": POISSON, "mean": self.mean}
+
+
+class CompleteAdjacency(dict):
+    """The adjacency of a complete topology over nodes 0..n-1: row u lists
+    every id but u, ascending. The rows are two slices each of one tuple
+    of ids, so the n^2 entries are references to n ints.
+    `_parse_topology` builds one only for `{"kind": "complete", "nodes":
+    n}`, so the type is the shape: no layer compares rows to learn it."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        ids = tuple(range(n))
+        super().__init__((u, ids[:u] + ids[u + 1:]) for u in ids)
 
 
 class RunConfig(NamedTuple):

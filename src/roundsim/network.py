@@ -1,5 +1,8 @@
 """Network fabric: topology, channels, packets, delay and loss.
 
+The delay law and `CompleteAdjacency` are the parser's values, imported
+from `config`; drawing a delay and staging packets are fabric work.
+
 A network is built for its law. A fixed law (deterministic delay, no
 loss) draws nothing: every message of one `Network.send` call is
 delivered exactly `value` rounds after the send, so the call resolves
@@ -58,53 +61,11 @@ from math import exp
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
+from .config import (DETERMINISTIC, POISSON, UNIFORM, CompleteAdjacency,
+                     DelayDistribution)
 from .errors import ConfigError
 from .rng import TO_DOUBLE, Stream, StreamFactory
 from .runlog import DeliverRecord, DropRecord, RunLogger, SendRecord
-
-DETERMINISTIC = "deterministic"
-UNIFORM = "uniform"
-POISSON = "poisson"
-
-
-class DelayDistribution(NamedTuple):
-    """Per-message delay law; every sample is an integer number of rounds >= 1.
-
-    Poisson is shifted by one (1 + Poisson(mean - 1)) so the one-round
-    minimum holds while the configured mean is preserved.
-    """
-
-    kind: str
-    value: int = 0        # deterministic
-    min: int = 0          # uniform, inclusive
-    max: int = 0          # uniform, inclusive
-    mean: float = 0.0     # poisson
-
-    @staticmethod
-    def deterministic(value: int) -> "DelayDistribution":
-        return DelayDistribution(DETERMINISTIC, value=value)
-
-    @staticmethod
-    def uniform(lo: int, hi: int) -> "DelayDistribution":
-        return DelayDistribution(UNIFORM, min=lo, max=hi)
-
-    @staticmethod
-    def poisson(mean: float) -> "DelayDistribution":
-        return DelayDistribution(POISSON, mean=mean)
-
-    def expected(self) -> float:
-        if self.kind == DETERMINISTIC:
-            return float(self.value)
-        if self.kind == UNIFORM:
-            return (self.min + self.max) / 2.0
-        return self.mean
-
-    def to_json(self) -> dict:
-        if self.kind == DETERMINISTIC:
-            return {"kind": DETERMINISTIC, "value": self.value}
-        if self.kind == UNIFORM:
-            return {"kind": UNIFORM, "min": self.min, "max": self.max}
-        return {"kind": POISSON, "mean": self.mean}
 
 
 def sample_delay(dist: DelayDistribution, rng: Stream) -> int:
@@ -143,20 +104,6 @@ def _draws(delay: DelayDistribution, loss_probability: float) -> bool:
 
 def _no_channel(sender, receiver) -> ConfigError:
     return ConfigError("topology", f"no channel {sender}->{receiver}")
-
-
-class CompleteAdjacency(dict):
-    """The adjacency of a complete topology over nodes 0..n-1: row u lists
-    every id but u, ascending. The rows are two slices each of one tuple
-    of ids, so the n^2 entries are references to n ints. The config
-    parser builds one only for `{"kind": "complete", "nodes": n}`, so the
-    type is the shape: no layer compares rows to learn it."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int):
-        ids = tuple(range(n))
-        super().__init__((u, ids[:u] + ids[u + 1:]) for u in ids)
 
 
 class Channel:

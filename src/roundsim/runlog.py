@@ -37,12 +37,13 @@ rule is chosen by record type, never by tag, so a node that logs a dict
 under a typed record's tag is written like any other record.
 
 The `meta` header is one `canonical_json` call too, except for the
-complete shorthand `{"kind": "complete", "nodes": n}`, which
-`roundsim.topology` writes as the adjacency it stands for, from one
+complete shorthand `{"kind": "complete", "nodes": n}`, which the v1
+writer, `meta_parts`, writes as the adjacency it stands for, from one
 joined text of the ids.
 """
 
 import json
+from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
@@ -228,6 +229,37 @@ class LogDocument:
                 del self.data[tag]
 
 
+def meta_parts(meta: dict) -> list:
+    """canonical_json(meta), as pieces to join, with the complete
+    shorthand {"kind": "complete", "nodes": n} at meta["topology"] written
+    as the adjacency of ids 0..n-1, keyed by their texts: row i is one
+    joined text of the ids without id i. Any other topology is written
+    as it is, and so is a shorthand whose n is not an int of at least 1
+    or that holds another key."""
+    topology = meta.get("topology")
+    n = topology.get("nodes") if type(topology) is dict else None
+    if (type(n) is not int or n < 1 or len(topology) != 2
+            or topology.get("kind") != "complete"):
+        return [canonical_json(meta)]
+    keys = list(map(str, range(n)))
+    # Keys are written in sorted order: those before "topology", the
+    # topology, then those after it.
+    head = canonical_json({k: v for k, v in meta.items() if k < "topology"})
+    tail = canonical_json({k: v for k, v in meta.items() if k > "topology"})
+    # ",id" per id: row i is the text before id i, less its leading comma,
+    # then the text after id i, less its comma when i is 0.
+    joined = "".join("," + key for key in keys)
+    cuts = list(accumulate((len(key) + 1 for key in keys), initial=0))
+    parts = [head[:-1] + ("," if len(head) > 2 else "")
+             + '"topology":{"adjacency":{']
+    for key in sorted(keys):
+        i = int(key)
+        parts += ('"%s":[' % key, joined[1:cuts[i]],
+                  joined[cuts[i + 1] + (i == 0):], "],")
+    parts[-1] = "]}}" + ("," + tail[1:] if len(tail) > 2 else "}")
+    return parts
+
+
 def serialize(doc: LogDocument) -> str:
     """Canonical JSON text: sorted keys, records in canonical order. The
     document itself is left as it is: each tag is written from a sorted
@@ -244,8 +276,6 @@ def serialize(doc: LogDocument) -> str:
             parts.append(canonical_json([rec.to_json_obj() for rec in records]))
         else:
             parts += ("[", ",".join(map(template.__mod__, records)), "]")
-    from .topology import meta_parts  # deferred: see roundsim.topology
-
     parts += ('},"meta":', *meta_parts(dict(doc.meta, version=__version__)), "}")
     return "".join(parts)
 

@@ -21,7 +21,7 @@ from itertools import accumulate, chain, islice
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .network import CompleteAdjacency
+from .config import CompleteAdjacency
 from .rng import CHANNEL, keyed_philox
 
 _MASK32 = (1 << 32) - 1

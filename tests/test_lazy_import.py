@@ -100,6 +100,23 @@ print(json.dumps([statuses, sorted({"dataclasses", "inspect"}
     assert added == [[0, 0], []]
 
 
+def test_a_config_check_loads_no_fabric_and_no_log():
+    # chord and kademlia load runlog for their typed records.
+    loaded_after = run_fresh("""
+import glob, json
+from roundsim import config
+for path in sorted(glob.glob("configs/*.json")):
+    with open(path) as fh:
+        if json.load(fh)["algorithm"] not in ("chord", "kademlia"):
+            config.load_file(path)
+import roundsim
+roundsim.DelayDistribution
+print(json.dumps(loaded()))
+""")
+    assert "config" in loaded_after
+    assert {"network", "runlog", "topology"}.isdisjoint(loaded_after)
+
+
 def test_a_consensus_sweep_loads_only_consensus():
     modules = run_fresh("""
 import json, os

@@ -15,11 +15,10 @@ from roundsim.config import load_file, parse_obj
 from roundsim.engine import run
 from roundsim.node import NodeContext
 from roundsim.rng import StreamFactory
-from roundsim.topology import meta_parts
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              NET_TAGS, DeliverRecord, DropRecord, LogDocument,
                              LogRecord, RunLogger, SendRecord, canonical_json,
-                             serialize, typed_record)
+                             meta_parts, serialize, typed_record)
 
 from logcheck import assert_same_log
 

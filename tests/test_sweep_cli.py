@@ -235,6 +235,24 @@ def test_cli_bench(tmp_path, capsys):
     assert [r["threads"] for r in rows] == [1, 2]
 
 
+def test_cli_bench_csv_writes_one_row_per_thread_count(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", run_config_obj())
+    assert main(["bench", cfg, "--threads", "1,2", "--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["threads", "wallClockSeconds", "messages"]
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert rows[1][2] == rows[2][2] and int(rows[1][2]) > 0
+
+
+def test_cli_run_time_failure_exits_1_with_one_line(tmp_path, capsys):
+    # One round is too short for raft to commit, so no latency is logged.
+    sweep = write_json(tmp_path / "s.json", sweep_obj(
+        base=dict(sweep_obj()["base"], roundsPerComputation=1),
+        variants=["raft"]))
+    assert main(["sweep", sweep, "--out", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err == "sim: no latency samples in the log\n"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", missing]) == 2
@@ -263,6 +281,9 @@ DELAY_SWEEP = ('{"base": {"algorithm": "raft", "topology": {"kind": '
                '"delay": {"kind": "deterministic", "value": 1}, %s}, '
                '"axis": "delay.value", "points": [1], '
                '"metric": "mean_latency"}')
+
+RAFT_TOPOLOGY = (b'{"algorithm": "raft", "roundsPerComputation": 5, '
+                 b'"topology": %s}')
 
 IS_DIRECTORY = object()
 
@@ -388,6 +409,37 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
     ("bench --threads ,1,,2,", b'{"algorithm": "raft", "roundsPerComputation": 5, '
                                b'"topology": {"kind": "complete", "nodes": 3}}',
      "sim: --threads: expected a comma list of integers, got ',1,,2,'"),
+    # Each reason below is the whole line.
+    ("run", b'[]', "sim: configuration root must be an object\n"),
+    ("run", RAFT_TOPOLOGY % b'[]', "sim: topology: expected an object\n"),
+    ("run", RAFT_TOPOLOGY % (b'{"kind": "ring", '
+                             b'"adjacency": {"0": [1], "1": [0]}}'),
+     "sim: topology.kind: must be 'adjacency' when adjacency is given\n"),
+    ("run", RAFT_TOPOLOGY % b'{"adjacency": {}}',
+     "sim: topology.adjacency: expected a non-empty object\n"),
+    ("run", RAFT_TOPOLOGY % b'{"kind": "star", "nodes": 3}',
+     "sim: topology.kind: expected 'complete', 'ring' or an adjacency "
+     "object, got 'star'\n"),
+    ("run", b'{"algorithm": "raft", "roundsPerComputation": 5, "topology": '
+            b'{"kind": "complete", "nodes": 3}, "delay": []}',
+     "sim: delay: expected an object\n"),
+    ("run", (POISSON_BASE % "0").encode(),
+     "sim: delay.mean: must be > 0, got 0.0\n"),
+    ("run", (POISSON_BASE % '"2"').encode(),
+     "sim: delay.mean: expected a number, got '2'\n"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 5, '
+            b'"topology": {"kind": "complete", "nodes": 1}}',
+     "sim: topology: a ring needs at least 2 nodes\n"),
+    ("run", b'{"algorithm": "chord", "roundsPerComputation": 5, "topology": '
+            b'{"adjacency": {"0": [1], "1": [0], "2": [0, 1]}}}',
+     "sim: topology: node 0 is missing a ring neighbor\n"),
+    ("sweep", b'[]', "sim: sweep root must be an object\n"),
+    ("sweep", b'{"base": [], "axis": "seed", "points": [1], '
+              b'"metric": "mean_latency"}',
+     "sim: base: expected a configuration object\n"),
+    ("sweep", (DELAY_SWEEP % '"seed": 1').encode().replace(
+        b'"metric"', b'"metricParams": [], "metric"'),
+     "sim: metricParams: expected an object\n"),
 ], ids=["non-utf8-run", "non-utf8-sweep", "mean-nan", "mean-inf", "mean-huge",
         "complete-too-many-channels", "ring-too-many-channels",
         "dht-schedule-too-large", "variant-not-algorithm",
@@ -403,7 +455,12 @@ PBFT_PARAMS = ('{"algorithm": "pbft", "topology": {"kind": "complete", '
         "bench-missing", "run-unclosed-brackets", "sweep-unclosed-brackets",
         "run-params-nested-600", "sweep-params-nested-600",
         "adjacency-neighbor-undeclared", "run-threads-zero",
-        "bench-threads-zero", "bench-threads-empty-part"])
+        "bench-threads-zero", "bench-threads-empty-part", "root-not-object",
+        "topology-not-object", "adjacency-with-ring-kind", "adjacency-empty",
+        "topology-kind-unknown", "delay-not-object", "mean-zero",
+        "mean-not-number", "chord-on-one-node", "chord-ring-neighbor-missing",
+        "sweep-root-not-object", "sweep-base-not-object",
+        "sweep-metric-params-not-object"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, command, raw,
                                              reason):
     """`raw` is the file's bytes, IS_DIRECTORY for a directory at the path,
