@@ -1,4 +1,5 @@
-"""Algorithm family base class and the name registry.
+"""A protocol's whole contract: the family base class, the node base
+class and the name registry.
 
 A family class covers one or more registered algorithm ids (its variants).
 The engine builds a fresh family instance per computation, so instance
@@ -9,14 +10,46 @@ A bundled id's family module is imported on the first lookup of the id
 (see BUNDLED), so a run loads only its own family. A third-party family
 registers when its module is imported, which must happen before its id
 is looked up.
+
+A protocol node is an AlgorithmNode, complete when its family's
+`create_node` returns it. Its compute hook gets a
+`roundsim.network.NodeContext` as its only handle on the run.
 """
 
 from importlib import import_module
-from typing import Dict, Type
+from typing import TYPE_CHECKING, Dict, Type
 
 from ..config import reject_unknown_keys
 from ..errors import ConfigError
-from ..node import AlgorithmNode
+
+if TYPE_CHECKING:  # the fabric is loaded by the engine, not by a protocol
+    from ..network import NodeContext
+
+
+class AlgorithmNode:
+    """Behavior hooks a protocol implements for one node.
+
+    The family's `create_node` builds the node with all the state it
+    needs, parameters included; the engine adds nothing after that.
+    perform_computation runs at most once per node per round, during the
+    compute phase, with exclusive access to the context. When it runs is
+    set by `wake_rounds`:
+
+    - None (the default): every round.
+    - A container of round numbers (a class or instance attribute, fixed
+      before round 0): in those rounds, and in every round something
+      arrives for the node.
+
+    Opt in only if a round the node is not awake in is a round its hook
+    would draw nothing, log nothing and send nothing. The in-stream holds
+    only this round's arrivals, so a node that defers work keeps its own
+    backlog and leaves `wake_rounds` at None.
+    """
+
+    wake_rounds = None
+
+    def perform_computation(self, ctx: "NodeContext") -> None:
+        raise NotImplementedError
 
 
 class Algorithm:

@@ -14,9 +14,7 @@ from operator import attrgetter
 
 from ..config import as_probability
 from ..errors import MetricError
-from ..node import AlgorithmNode
-from ..rng import TO_DOUBLE
-from .base import Algorithm, register
+from .base import Algorithm, AlgorithmNode, register
 
 BITCOIN = "bitcoin"
 ETHEREUM = "ethereum"
@@ -48,6 +46,9 @@ def draw_trials(bit_generator, rounds: int, tx_probability: float,
     the bytes do not depend on numpy's distribution code.
     """
     import numpy as np
+
+    from ..rng import TO_DOUBLE
+
     # An explicit uint64 operand, so the shift stays uint64 under every
     # numpy's type promotion rules.
     doubles = (bit_generator.random_raw(2 * rounds) >> np.uint64(11)) * TO_DOUBLE

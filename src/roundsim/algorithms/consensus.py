@@ -8,8 +8,7 @@ instance starts the round after the previous one commits.
 
 from ..config import CompleteAdjacency, as_int
 from ..errors import ConfigError, MetricError
-from ..node import AlgorithmNode
-from .base import Algorithm, register
+from .base import Algorithm, AlgorithmNode, register
 
 PBFT = "pbft"
 RAFT = "raft"

@@ -10,8 +10,7 @@ import math
 
 from ..config import MAX_CHANNELS, as_int
 from ..errors import ConfigError, MetricError
-from ..node import AlgorithmNode
-from .base import Algorithm, register
+from .base import Algorithm, AlgorithmNode, register
 
 ABP = "abp"
 SDL = "sdl"

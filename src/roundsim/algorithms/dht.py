@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 from ..config import MAX_SCHEDULED_QUERIES, as_int, check_channel_count
 from ..errors import ConfigError, MetricError
-from ..node import AlgorithmNode
 from ..rng import Stream, halves
 from ..runlog import typed_record
-from .base import Algorithm, register
+from .base import Algorithm, AlgorithmNode, register
 
 CHORD = "chord"
 KADEMLIA = "kademlia"

@@ -341,7 +341,7 @@ def algorithm_of(obj: dict, path: str = "algorithm") -> str:
 
 def _family(algorithm: str):
     """The registered family serving an algorithm id."""
-    from .algorithms import get_algorithm  # deferred: algorithms import node API
+    from .algorithms import get_algorithm  # deferred: algorithms.base imports config
 
     try:
         return get_algorithm(algorithm)

@@ -34,8 +34,7 @@ however `run` exits.
 import gc
 
 from .algorithms import get_algorithm
-from .network import Network
-from .node import NodeContext
+from .network import Network, NodeContext
 from .rng import StreamFactory
 from .runlog import ERROR_TAG, LogDocument, RunLogger
 

@@ -6,8 +6,7 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import MetricError
-from roundsim.network import Packet
-from roundsim.node import NodeContext
+from roundsim.network import NodeContext, Packet
 from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.blockchain import (
     GENESIS_ID, TAG_CONFIRMED, TRIAL_BLOCK, Block, BlockchainFamily,

@@ -5,8 +5,7 @@ from roundsim.engine import Engine, run
 from roundsim.errors import MetricError
 from roundsim.algorithms.consensus import (ConsensusFamily, PbftNode,
                                            mean_latency, pbft_thresholds)
-from roundsim.network import Packet
-from roundsim.node import NodeContext
+from roundsim.network import NodeContext, Packet
 from roundsim.runlog import LogDocument, LogRecord, RunLogger, serialize
 
 from logcheck import assert_same_log

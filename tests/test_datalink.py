@@ -5,7 +5,7 @@ import pytest
 from roundsim.config import MAX_CHANNELS, parse_obj
 from roundsim.engine import run
 from roundsim.errors import ConfigError, MetricError
-from roundsim.node import NodeContext
+from roundsim.network import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import LogDocument, LogRecord, RunLogger
 from roundsim.algorithms.base import get_algorithm

@@ -8,7 +8,7 @@ from roundsim import config as config_mod
 from roundsim.config import MAX_SCHEDULED_QUERIES, parse_obj
 from roundsim.engine import run
 from roundsim.errors import ConfigError, MetricError
-from roundsim.node import NodeContext
+from roundsim.network import NodeContext
 from roundsim.rng import Stream, StreamFactory
 from roundsim.algorithms.base import get_algorithm
 from roundsim.algorithms.dht import TAG_FORWARDED, mean_hops, ring_next_hop

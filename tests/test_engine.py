@@ -124,6 +124,23 @@ def test_a_fault_on_a_fixed_law_stages_nothing_from_its_round():
     assert len(doc.records("net.deliver")) == engine.stats["delivered"] == 4 * 3
 
 
+def test_a_fault_on_a_drawing_law_stages_nothing_from_its_round():
+    # As above, on a law that opens channels: each round-0 message is
+    # sent or dropped, and nothing staged in round 1 is either.
+    engine = Engine(tick_config(algorithmParams={"failAt": [2, 1]},
+                                computationsPerRun=1, lossProbability=0.3,
+                                delay={"kind": "uniform", "min": 1, "max": 3},
+                                logTags=["tick", "net.send", "net.drop"]))
+    doc = engine.run()
+    assert [(r.round, r.node) for r in doc.records("tick") if r.round == 1] \
+        == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    sends, drops = doc.records("net.send"), doc.records("net.drop")
+    assert {r.round for r in sends + drops} == {0}
+    assert len(sends) == engine.stats["sent"]
+    assert len(drops) == engine.stats["dropped"]
+    assert engine.stats["sent"] + engine.stats["dropped"] == 4 * 3
+
+
 def test_fault_in_one_worker_mode_matches_the_other():
     config = tick_config(algorithmParams={"failAt": [1, 2]},
                          roundsPerComputation=5)

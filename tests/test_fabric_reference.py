@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from roundsim.network import (DETERMINISTIC, UNIFORM, Channel,
                               CompleteAdjacency, DelayDistribution, Network,
-                              Packet)
-from roundsim.node import NodeContext
+                              NodeContext, Packet)
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger
 

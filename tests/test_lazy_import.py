@@ -117,6 +117,29 @@ print(json.dumps(loaded()))
     assert {"network", "runlog", "topology"}.isdisjoint(loaded_after)
 
 
+CONFIG_FILES = sorted(path.relative_to(ROOT).as_posix() for path in
+                      (*ROOT.glob("configs/*.json"), *ROOT.glob("configs/bench/*.json")))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES)
+def test_a_config_check_loads_the_parser_the_contract_and_one_family(path):
+    # A DHT family loads runlog and rng at import, for its typed records
+    # and its streams; every other family loads nothing past the contract.
+    modules = run_fresh("""
+import json
+from roundsim import config
+config.load_file(sys.argv[1])
+print(json.dumps(loaded()))
+""", path)
+    with open(ROOT / path) as fh:
+        family = BUNDLED[json.load(fh)["algorithm"]]
+    if family == "dht":
+        assert "network" not in modules
+    else:
+        assert modules == sorted(["_version", "config", "errors", "algorithms",
+                                  "algorithms.base", f"algorithms.{family}"])
+
+
 def test_a_consensus_sweep_loads_only_consensus():
     modules = run_fresh("""
 import json, os

@@ -11,8 +11,7 @@ from roundsim.config import load_file
 from roundsim.engine import run
 from roundsim.errors import ConfigError, SimulationError
 from roundsim.network import (Channel, CompleteAdjacency, DelayDistribution,
-                              Network, Packet, sample_delay)
-from roundsim.node import NodeContext
+                              Network, NodeContext, Packet, sample_delay)
 from roundsim.rng import CHANNEL, Stream, StreamFactory, make_stream
 from roundsim.runlog import NET_DELIVER, NET_DROP, NET_SEND, RunLogger, serialize
 from roundsim.seedmix import ChannelKeys

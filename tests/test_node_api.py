@@ -4,8 +4,8 @@ import pytest
 from roundsim.config import parse_obj
 from roundsim.engine import run
 from roundsim.errors import SimulationError
-from roundsim.network import CompleteAdjacency, DelayDistribution, Network
-from roundsim.node import NodeContext
+from roundsim.network import (CompleteAdjacency, DelayDistribution, Network,
+                              NodeContext)
 from roundsim.rng import StreamFactory
 from roundsim.runlog import NET_SEND, RunLogger
 from roundsim.algorithms.base import Algorithm, AlgorithmNode, register

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roundsim.network import Channel, DelayDistribution
-from roundsim.node import NodeContext
+from roundsim.network import Channel, DelayDistribution, NodeContext
 from roundsim.rng import (CHANNEL, NODE, SWEEP, TOPOLOGY, Stream, StreamFactory,
                           derive_seed, halves, keyed_philox, make_stream)
 from roundsim.seedmix import KeyedSeed, seed_keys

@@ -13,7 +13,7 @@ from roundsim.algorithms.dht import (TAG_FORWARDED, ForwardRecord,
 from roundsim.cli import _doc_to_csv
 from roundsim.config import load_file, parse_obj
 from roundsim.engine import run
-from roundsim.node import NodeContext
+from roundsim.network import NodeContext
 from roundsim.rng import StreamFactory
 from roundsim.runlog import (ERROR_TAG, NET_DELIVER, NET_DROP, NET_SEND,
                              NET_TAGS, DeliverRecord, DropRecord, LogDocument,
